@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <utility>
 
 namespace abenc::net {
 
@@ -159,15 +160,18 @@ void Reader::ExpectEnd() const {
 
 std::vector<std::uint8_t> EncodeFrame(FrameType type,
                                       std::span<const std::uint8_t> payload) {
-  const std::uint32_t length = static_cast<std::uint32_t>(payload.size() + 1);
   std::vector<std::uint8_t> frame;
-  frame.reserve(kFrameLengthBytes + length);
-  for (int shift = 0; shift < 32; shift += 8) {
-    frame.push_back(static_cast<std::uint8_t>(length >> shift));
-  }
-  frame.push_back(static_cast<std::uint8_t>(type));
-  frame.insert(frame.end(), payload.begin(), payload.end());
+  frame.reserve(kFrameLengthBytes + 1 + payload.size());
+  AppendFrame(frame, type, payload);
   return frame;
+}
+
+void AppendFrame(std::vector<std::uint8_t>& out, FrameType type,
+                 std::span<const std::uint8_t> payload) {
+  Writer w(out);
+  w.U32(static_cast<std::uint32_t>(payload.size() + 1));
+  w.U8(static_cast<std::uint8_t>(type));
+  w.Bytes(payload);
 }
 
 std::optional<Frame> TryExtractFrame(std::vector<std::uint8_t>& buffer,
@@ -497,41 +501,96 @@ DrainStatsRequest DecodeDrainStats(std::span<const std::uint8_t> payload) {
   return request;
 }
 
-std::vector<std::uint8_t> EncodeStats(const StatsReply& stats,
-                                      std::uint32_t capabilities) {
-  Writer w;
-  w.U64(stats.session_id);
-  w.U8(stats.state);
-  w.U8(stats.input_closed ? 1 : 0);
-  w.U8(stats.degraded ? 1 : 0);
-  w.U64(stats.accepted);
-  w.U64(stats.stream_length);
-  w.I64(stats.transitions);
-  w.I32(stats.peak_transitions);
-  w.F64(stats.in_sequence_percent);
-  w.U64(stats.readmissions);
-  w.U64(stats.rejected_batches);
-  w.U64(stats.peak_queue_depth);
-  w.U64(stats.transport.transfers);
-  w.U64(stats.transport.clean);
-  w.U64(stats.transport.corrected);
-  w.U64(stats.transport.recovered);
-  w.U64(stats.transport.degraded_deliveries);
-  w.U64(stats.transport.retries);
-  w.U64(stats.transport.forced_resyncs);
-  w.U32(static_cast<std::uint32_t>(stats.per_line.size()));
-  for (long long line : stats.per_line) w.I64(line);
-  w.U32(static_cast<std::uint32_t>(stats.reset_points.size()));
-  for (std::uint64_t point : stats.reset_points) w.U64(point);
+namespace {
+
+/// The STATS payload layout, written from the scalar fields of `head`
+/// and the history passed beside it — so the server can encode straight
+/// from a SessionReport without first copying its vectors into a
+/// StatsReply.
+template <class ResetPoints>
+void WriteStats(Writer& w, const StatsReply& head,
+                std::span<const long long> per_line,
+                const ResetPoints& reset_points,
+                std::span<const CodecSwitchPoint> renegotiations,
+                std::string_view active_codec, std::uint32_t capabilities) {
+  w.U64(head.session_id);
+  w.U8(head.state);
+  w.U8(head.input_closed ? 1 : 0);
+  w.U8(head.degraded ? 1 : 0);
+  w.U64(head.accepted);
+  w.U64(head.stream_length);
+  w.I64(head.transitions);
+  w.I32(head.peak_transitions);
+  w.F64(head.in_sequence_percent);
+  w.U64(head.readmissions);
+  w.U64(head.rejected_batches);
+  w.U64(head.peak_queue_depth);
+  w.U64(head.transport.transfers);
+  w.U64(head.transport.clean);
+  w.U64(head.transport.corrected);
+  w.U64(head.transport.recovered);
+  w.U64(head.transport.degraded_deliveries);
+  w.U64(head.transport.retries);
+  w.U64(head.transport.forced_resyncs);
+  w.U32(static_cast<std::uint32_t>(per_line.size()));
+  for (long long line : per_line) w.I64(line);
+  w.U32(static_cast<std::uint32_t>(reset_points.size()));
+  for (const auto point : reset_points) w.U64(point);
   if (capabilities & kCapRenegotiate) {
-    w.U32(static_cast<std::uint32_t>(stats.renegotiations.size()));
-    for (const CodecSwitchPoint& point : stats.renegotiations) {
+    w.U32(static_cast<std::uint32_t>(renegotiations.size()));
+    for (const CodecSwitchPoint& point : renegotiations) {
       w.U64(point.index);
       w.Str16(point.codec_name);
     }
-    w.Str16(stats.active_codec);
+    w.Str16(active_codec);
   }
+}
+
+/// StatsFromReport without the history vectors.
+StatsReply StatsHead(const service::SessionReport& report,
+                     std::uint64_t accepted) {
+  StatsReply stats;
+  stats.session_id = report.id;
+  stats.state = report.state == service::SessionState::kEvicted ? 1 : 0;
+  stats.input_closed = report.input_closed;
+  stats.degraded = report.degraded;
+  stats.accepted = accepted;
+  stats.stream_length = report.result.stream_length;
+  stats.transitions = report.result.transitions;
+  stats.peak_transitions = report.result.peak_transitions;
+  stats.in_sequence_percent = report.result.in_sequence_percent;
+  stats.transport = report.transport;
+  stats.readmissions = report.readmissions;
+  stats.rejected_batches = report.rejected_batches;
+  stats.peak_queue_depth = report.peak_queue_depth;
+  return stats;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> EncodeStats(const StatsReply& stats,
+                                      std::uint32_t capabilities) {
+  Writer w;
+  WriteStats(w, stats, stats.per_line, stats.reset_points,
+             stats.renegotiations, stats.active_codec, capabilities);
   return w.Take();
+}
+
+void AppendStatsFrame(std::vector<std::uint8_t>& out,
+                      const service::SessionReport& report,
+                      std::uint64_t accepted, std::uint32_t capabilities) {
+  const std::size_t start = out.size();
+  Writer w(out);
+  w.U32(0);  // length prefix, patched once the payload is in place
+  w.U8(static_cast<std::uint8_t>(FrameType::kStats));
+  WriteStats(w, StatsHead(report, accepted), report.result.per_line,
+             report.reset_points, report.renegotiations, report.active_codec,
+             capabilities);
+  const std::uint32_t length =
+      static_cast<std::uint32_t>(out.size() - start - kFrameLengthBytes);
+  for (std::size_t i = 0; i < kFrameLengthBytes; ++i) {
+    out[start + i] = static_cast<std::uint8_t>(length >> (8 * i));
+  }
 }
 
 StatsReply DecodeStats(std::span<const std::uint8_t> payload,
@@ -637,23 +696,10 @@ ErrorReply DecodeError(std::span<const std::uint8_t> payload) {
 
 StatsReply StatsFromReport(const service::SessionReport& report,
                            std::uint64_t accepted) {
-  StatsReply stats;
-  stats.session_id = report.id;
-  stats.state = report.state == service::SessionState::kEvicted ? 1 : 0;
-  stats.input_closed = report.input_closed;
-  stats.degraded = report.degraded;
-  stats.accepted = accepted;
-  stats.stream_length = report.result.stream_length;
-  stats.transitions = report.result.transitions;
-  stats.peak_transitions = report.result.peak_transitions;
-  stats.in_sequence_percent = report.result.in_sequence_percent;
+  StatsReply stats = StatsHead(report, accepted);
   stats.per_line = report.result.per_line;
   stats.reset_points.assign(report.reset_points.begin(),
                             report.reset_points.end());
-  stats.transport = report.transport;
-  stats.readmissions = report.readmissions;
-  stats.rejected_batches = report.rejected_batches;
-  stats.peak_queue_depth = report.peak_queue_depth;
   stats.renegotiations = report.renegotiations;
   stats.active_codec = report.active_codec;
   return stats;

@@ -144,6 +144,13 @@ class WireError : public std::runtime_error {
 /// Little-endian append-only payload builder.
 class Writer {
  public:
+  Writer() = default;
+  /// Appends to `sink` instead of an owned buffer, so a frame can be
+  /// encoded in place at the end of a connection's out buffer.
+  explicit Writer(std::vector<std::uint8_t>& sink) : bytes_(sink) {}
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
+
   void U8(std::uint8_t v) { bytes_.push_back(v); }
   void U16(std::uint16_t v);
   void U32(std::uint32_t v);
@@ -159,7 +166,8 @@ class Writer {
   std::vector<std::uint8_t> Take() { return std::move(bytes_); }
 
  private:
-  std::vector<std::uint8_t> bytes_;
+  std::vector<std::uint8_t> own_;
+  std::vector<std::uint8_t>& bytes_ = own_;
 };
 
 /// Little-endian payload consumer; every under-run throws
@@ -200,6 +208,9 @@ struct Frame {
 /// Wrap a typed payload in the length-prefixed framing.
 std::vector<std::uint8_t> EncodeFrame(FrameType type,
                                       std::span<const std::uint8_t> payload);
+/// The same bytes appended to `out` (no intermediate frame vector).
+void AppendFrame(std::vector<std::uint8_t>& out, FrameType type,
+                 std::span<const std::uint8_t> payload);
 
 /// Pop one complete frame off the front of an accumulating receive
 /// buffer, or nullopt if more bytes are needed. Throws
@@ -427,6 +438,13 @@ DrainStatsRequest DecodeDrainStats(std::span<const std::uint8_t> payload);
 
 std::vector<std::uint8_t> EncodeStats(const StatsReply& stats,
                                       std::uint32_t capabilities = 0);
+/// Appends EncodeFrame(kStats, EncodeStats(StatsFromReport(report,
+/// accepted), capabilities)) to `out`, encoding straight from the report:
+/// a STATS reply carries the whole switch schedule and reset points, so
+/// the server copies them into no StatsReply, payload or frame vector.
+void AppendStatsFrame(std::vector<std::uint8_t>& out,
+                      const service::SessionReport& report,
+                      std::uint64_t accepted, std::uint32_t capabilities = 0);
 StatsReply DecodeStats(std::span<const std::uint8_t> payload,
                        std::uint32_t capabilities = 0);
 
@@ -439,7 +457,7 @@ CloseReply DecodeCloseOk(std::span<const std::uint8_t> payload);
 std::vector<std::uint8_t> EncodeError(const ErrorReply& error);
 ErrorReply DecodeError(std::span<const std::uint8_t> payload);
 
-/// Build a STATS payload from a session report (server side).
+/// Build a STATS payload from a session report.
 StatsReply StatsFromReport(const service::SessionReport& report,
                            std::uint64_t accepted);
 

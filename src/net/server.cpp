@@ -31,6 +31,42 @@ void SetNonBlocking(int fd) {
   ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+/// The loop's self-pipe: stop requests and the service's quiescence
+/// notices wake poll() through it.
+class WakePipe {
+ public:
+  WakePipe() {
+    if (::pipe(fds_) != 0) {
+      throw NetError(std::string("pipe: ") + std::strerror(errno));
+    }
+    SetNonBlocking(fds_[0]);
+    SetNonBlocking(fds_[1]);
+  }
+  ~WakePipe() {
+    CloseFd(fds_[0]);
+    CloseFd(fds_[1]);
+  }
+  WakePipe(const WakePipe&) = delete;
+  WakePipe& operator=(const WakePipe&) = delete;
+
+  int read_fd() const { return fds_[0]; }
+
+  /// A full pipe (EAGAIN) already holds a pending wake-up.
+  void Signal() const {
+    const std::uint8_t byte = 1;
+    [[maybe_unused]] ssize_t n = ::write(fds_[1], &byte, 1);
+  }
+
+  void Drain() const {
+    std::uint8_t sink[64];
+    while (::read(fds_[0], sink, sizeof(sink)) > 0) {
+    }
+  }
+
+ private:
+  int fds_[2] = {-1, -1};
+};
+
 }  // namespace
 
 /// One accepted connection. Owned and touched exclusively by the event
@@ -58,29 +94,27 @@ class Server::Loop {
       : config_(config), service_(service) {}
 
   ~Loop() {
+    // The service runs the hook under its own mutex, so once this
+    // returns no shard thread can still be writing to wake_.
+    service_.SetQuiescenceHook({});
     for (auto& [fd, conn] : conns_) CloseFd(conn.fd);
     CloseFd(listen_fd_);
-    CloseFd(wake_fds_[0]);
-    CloseFd(wake_fds_[1]);
     if (bound_.is_unix) ::unlink(bound_.path.c_str());
   }
 
   void Bind() {
     bound_ = ParseEndpoint(config_.endpoint);
     listen_fd_ = ListenOn(bound_);
-    if (::pipe(wake_fds_) != 0) {
-      throw NetError(std::string("pipe: ") + std::strerror(errno));
-    }
-    SetNonBlocking(wake_fds_[0]);
-    SetNonBlocking(wake_fds_[1]);
+    // Deferred DRAIN_STATS replies: a shard that drains a watched
+    // session wakes poll() at once (see HandleDrainStats).
+    service_.SetQuiescenceHook([wake = &wake_]() { wake->Signal(); });
   }
 
   std::string endpoint() const { return bound_.ToString(); }
 
   void RequestStop() {
     stop_.store(true, std::memory_order_release);
-    const std::uint8_t byte = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &byte, 1);
+    wake_.Signal();
   }
 
   ServerStats stats() const {
@@ -121,21 +155,18 @@ class Server::Loop {
     std::vector<pollfd> fds;
     fds.reserve(conns_.size() + 2);
     fds.push_back({listen_fd_, POLLIN, 0});
-    fds.push_back({wake_fds_[0], POLLIN, 0});
+    fds.push_back({wake_.read_fd(), POLLIN, 0});
     for (auto& [fd, conn] : conns_) {
       short events = POLLIN;
       if (conn.out_pos < conn.out.size()) events |= POLLOUT;
       fds.push_back({fd, events, 0});
     }
-    const int ready = ::poll(fds.data(), fds.size(), 20);
+    const int ready = ::poll(fds.data(), fds.size(),
+                             static_cast<int>(kLoopPollPeriod.count()));
     if (ready <= 0) return;
 
     if ((fds[0].revents & POLLIN) != 0) AcceptPending();
-    if ((fds[1].revents & POLLIN) != 0) {
-      std::uint8_t sink[64];
-      while (::read(wake_fds_[0], sink, sizeof(sink)) > 0) {
-      }
-    }
+    if ((fds[1].revents & POLLIN) != 0) wake_.Drain();
     for (std::size_t i = 2; i < fds.size(); ++i) {
       auto it = conns_.find(fds[i].fd);
       if (it == conns_.end()) continue;
@@ -523,8 +554,9 @@ class Server::Loop {
     const DrainStatsRequest request = DecodeDrainStats(frame.payload);
     SessionSlot* slot = RequireAttached(conn, request.session_id);
     if (slot == nullptr) return;
-    if (request.wait_drained &&
-        service_.SessionQueued(request.session_id) != 0) {
+    // Not yet drained: the reply waits for the shard's quiescence
+    // notice, which wakes poll() — no timer is involved.
+    if (request.wait_drained && !service_.WatchDrained(request.session_id)) {
       conn.pending_stats.push_back(request.session_id);
       return;
     }
@@ -541,16 +573,21 @@ class Server::Loop {
     SendFrame(conn, FrameType::kCloseOk, EncodeCloseOk(reply));
   }
 
+  /// One copy of the session's history per reply: Report() into the
+  /// loop's reused scratch, then the frame is encoded from it straight
+  /// into the connection's out buffer.
   void SendStats(Conn& conn, std::uint64_t session_id,
                  const SessionSlot& slot) {
-    const service::SessionReport report = service_.Report(session_id);
-    SendFrame(conn, FrameType::kStats,
-              EncodeStats(StatsFromReport(report, slot.accepted),
-                          conn.caps));
+    service_.ReportInto(session_id, report_scratch_);
+    AppendStatsFrame(conn.out, report_scratch_, slot.accepted, conn.caps);
+    frames_sent_.fetch_add(1, std::memory_order_relaxed);
+    FlushOut(conn);
   }
 
   /// Deferred DRAIN_STATS replies: answered as soon as the session's
-  /// queue is empty and its last popped batch has been processed.
+  /// queue is empty and its last popped batch has been processed. One
+  /// still waiting re-arms its watch (a pipelined SUBMIT may have
+  /// refilled the queue after the notice that woke us).
   void ServePendingStats() {
     for (auto& [fd, conn] : conns_) {
       if (conn.pending_stats.empty()) continue;
@@ -558,7 +595,7 @@ class Server::Loop {
       for (std::uint64_t id : conn.pending_stats) {
         auto it = sessions_.find(id);
         if (it == sessions_.end()) continue;  // closed underneath us
-        if (service_.SessionQueued(id) != 0) {
+        if (!service_.WatchDrained(id)) {
           still_waiting.push_back(id);
           continue;
         }
@@ -599,8 +636,7 @@ class Server::Loop {
 
   void SendFrame(Conn& conn, FrameType type,
                  const std::vector<std::uint8_t>& payload) {
-    const std::vector<std::uint8_t> bytes = EncodeFrame(type, payload);
-    conn.out.insert(conn.out.end(), bytes.begin(), bytes.end());
+    AppendFrame(conn.out, type, payload);
     frames_sent_.fetch_add(1, std::memory_order_relaxed);
     FlushOut(conn);
   }
@@ -641,12 +677,13 @@ class Server::Loop {
   service::EncodingService& service_;
   Endpoint bound_;
   int listen_fd_ = -1;
-  int wake_fds_[2] = {-1, -1};
+  WakePipe wake_;
   std::atomic<bool> stop_{false};
 
   // Loop-thread state.
   std::map<int, Conn> conns_;
   std::map<std::uint64_t, SessionSlot> sessions_;
+  service::SessionReport report_scratch_;  // SendStats, capacity reused
 
   // Counters (read from other threads via stats()).
   std::atomic<std::uint64_t> connections_accepted_{0};

@@ -19,6 +19,10 @@
 //    the session's Admission verdict mapped to a protocol status, so
 //    kSlowDown / kRejected are visible client-side flow control rather
 //    than silent queue growth.
+//  - Deferred replies are event-driven: a DRAIN_STATS(wait_drained) on
+//    a busy session arms a drain watch in the service, and the shard
+//    that empties the session's queue writes the loop's wake pipe. The
+//    poll timeout (kLoopPollPeriod) only paces timeout enforcement.
 //  - A dead connection detaches its sessions but never destroys them:
 //    ATTACH with the OPEN-issued token resumes a session exactly-once
 //    (the reply carries the admitted-access count to resume from).
@@ -44,6 +48,10 @@
 #include "service/service.h"
 
 namespace abenc::net {
+
+/// The event loop's poll timeout. It paces read/write timeout checks
+/// only; no reply waits for it.
+inline constexpr std::chrono::milliseconds kLoopPollPeriod{20};
 
 struct ServerConfig {
   /// Where to listen: "tcp:HOST:PORT" (PORT 0 = ephemeral, see

@@ -13,17 +13,16 @@ EncodingService::EncodingService(ServiceConfig config)
   const Shard::Policy policy{config_.drain_batch, config_.idle_evict_steps};
   shards_.reserve(config_.shards);
   for (unsigned i = 0; i < config_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i, policy, &metrics_));
+    shards_.push_back(std::make_unique<Shard>(
+        i, policy, &metrics_, [this](Session& session) { OnDrained(session); }));
   }
+  // Shards start parked: the first Submit() arms its shard.
   if (config_.start_drivers) {
     const unsigned workers = config_.parallelism != 0
                                  ? config_.parallelism
                                  : ThreadPool::DefaultParallelism();
     pool_ = std::make_unique<ThreadPool>(workers);
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      pool_->Submit([this, i]() { DriveShard(i); });
-    }
-    if (config_.enable_watchdog) {
+    if (config_.enable_watchdog || config_.idle_evict_steps != 0) {
       watchdog_ = std::thread([this]() { WatchdogLoop(); });
     }
   }
@@ -68,23 +67,40 @@ std::shared_ptr<Session> FindSession(
   return it->second;
 }
 
+bool Queued(Admission admission) {
+  return admission == Admission::kAccepted ||
+         admission == Admission::kSlowDown;
+}
+
 }  // namespace
 
 Admission EncodingService::Submit(std::uint64_t session_id,
                                   std::span<const BusAccess> batch) {
-  return FindSession(sessions_, session_id, sessions_mutex_)->Submit(batch);
+  const std::shared_ptr<Session> session =
+      FindSession(sessions_, session_id, sessions_mutex_);
+  const Admission admission = session->Submit(batch);
+  if (Queued(admission)) WakeShard(session->shard_index());
+  return admission;
 }
 
 Admission EncodingService::SubmitColumns(std::uint64_t session_id,
                                          ColumnBatch&& batch) {
-  return FindSession(sessions_, session_id, sessions_mutex_)
-      ->SubmitColumns(std::move(batch));
+  const std::shared_ptr<Session> session =
+      FindSession(sessions_, session_id, sessions_mutex_);
+  const Admission admission = session->SubmitColumns(std::move(batch));
+  if (Queued(admission)) WakeShard(session->shard_index());
+  return admission;
 }
 
 RenegotiateOutcome EncodingService::Renegotiate(
     std::uint64_t session_id, const std::string& codec_name) {
-  return FindSession(sessions_, session_id, sessions_mutex_)
-      ->Renegotiate(codec_name);
+  const std::shared_ptr<Session> session =
+      FindSession(sessions_, session_id, sessions_mutex_);
+  const RenegotiateOutcome outcome = session->Renegotiate(codec_name);
+  if (outcome.status == RenegotiateStatus::kScheduled) {
+    WakeShard(session->shard_index());
+  }
+  return outcome;
 }
 
 std::optional<RenegotiationSnapshot> EncodingService::StatsSnapshot(
@@ -94,7 +110,10 @@ std::optional<RenegotiationSnapshot> EncodingService::StatsSnapshot(
 }
 
 void EncodingService::CloseSession(std::uint64_t session_id) {
-  FindSession(sessions_, session_id, sessions_mutex_)->CloseInput();
+  const std::shared_ptr<Session> session =
+      FindSession(sessions_, session_id, sessions_mutex_);
+  session->CloseInput();
+  WakeShard(session->shard_index());  // a drained session retires now
 }
 
 bool EncodingService::EvictSession(std::uint64_t session_id) {
@@ -105,13 +124,23 @@ SessionReport EncodingService::Report(std::uint64_t session_id) const {
   return FindSession(sessions_, session_id, sessions_mutex_)->Report();
 }
 
+void EncodingService::ReportInto(std::uint64_t session_id,
+                                 SessionReport& report) const {
+  FindSession(sessions_, session_id, sessions_mutex_)->ReportInto(report);
+}
+
 bool EncodingService::HasSession(std::uint64_t session_id) const {
   std::lock_guard<std::mutex> lock(sessions_mutex_);
   return sessions_.find(session_id) != sessions_.end();
 }
 
-std::size_t EncodingService::SessionQueued(std::uint64_t session_id) const {
-  return FindSession(sessions_, session_id, sessions_mutex_)->queued();
+bool EncodingService::WatchDrained(std::uint64_t session_id) {
+  return FindSession(sessions_, session_id, sessions_mutex_)->WatchDrained();
+}
+
+void EncodingService::SetQuiescenceHook(std::function<void()> hook) {
+  std::lock_guard<std::mutex> lock(hook_mutex_);
+  quiescence_hook_ = std::move(hook);
 }
 
 std::vector<SessionReport> EncodingService::ReportAll() const {
@@ -145,17 +174,22 @@ std::size_t EncodingService::total_queued() const {
 
 bool EncodingService::Drain(std::chrono::milliseconds deadline) {
   const auto until = std::chrono::steady_clock::now() + deadline;
-  for (;;) {
-    if (total_queued() == 0) return true;
-    if (std::chrono::steady_clock::now() >= until) {
-      return total_queued() == 0;
-    }
-    if (!config_.start_drivers) {
+  if (!config_.start_drivers) {
+    for (;;) {
+      if (total_queued() == 0) return true;
+      if (std::chrono::steady_clock::now() >= until) return false;
       StepAll();
-    } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
+  // Register before looking (seq_cst, pairs with OnDrained): a drain
+  // that empties the last queue either is seen by the predicate or
+  // sees this waiter and notifies.
+  drain_waiters_.fetch_add(1);
+  std::unique_lock<std::mutex> lock(quiescent_mutex_);
+  const bool drained = quiescent_cv_.wait_until(
+      lock, until, [this]() { return total_queued() == 0; });
+  drain_waiters_.fetch_sub(1);
+  return drained;
 }
 
 ShutdownResult EncodingService::Stop(std::chrono::milliseconds deadline) {
@@ -194,11 +228,38 @@ void EncodingService::DriveShard(std::size_t index) {
     Bump(metrics_.shard_errors);
   }
   if (stopping_.load(std::memory_order_acquire) || shard.dead()) return;
-  if (!worked) std::this_thread::sleep_for(config_.idle_backoff);
+  // An empty pass parks the shard (its worker goes back to the pool);
+  // Park() re-checks for work that raced the pass.
+  if (!worked && shard.Park()) return;
+  // Still busy: re-queue behind the other shards' drivers for fairness.
   try {
     pool_->Submit([this, index]() { DriveShard(index); });
   } catch (const std::logic_error&) {
     // Shutdown began between the check above and the re-submit; done.
+  }
+}
+
+void EncodingService::WakeShard(std::size_t index) {
+  if (!pool_ || stopping_.load(std::memory_order_acquire)) return;
+  Shard& shard = *shards_[index];
+  if (shard.dead() || !shard.Wake()) return;
+  try {
+    pool_->Submit([this, index]() { DriveShard(index); });
+  } catch (const std::logic_error&) {
+    // Stopping: nothing drains any more.
+  }
+}
+
+void EncodingService::OnDrained(Session& session) {
+  if (session.TakeDrainWatch()) {
+    std::lock_guard<std::mutex> lock(hook_mutex_);
+    if (quiescence_hook_) quiescence_hook_();
+  }
+  if (drain_waiters_.load() != 0) {
+    // Taking the mutex orders this notify after a waiter's predicate
+    // check, so the wake-up cannot fall between check and sleep.
+    { std::lock_guard<std::mutex> lock(quiescent_mutex_); }
+    quiescent_cv_.notify_all();
   }
 }
 
@@ -211,6 +272,17 @@ void EncodingService::WatchdogLoop() {
       return stopping_.load(std::memory_order_acquire);
     });
     if (stopping_.load(std::memory_order_acquire)) return;
+    if (config_.idle_evict_steps != 0) {
+      // Parked shards take no passes of their own, so the tick supplies
+      // the idle passes that idle eviction counts — only where an active
+      // session is left to evict.
+      for (std::size_t i = 0; i < shards_.size(); ++i) {
+        if (!shards_[i]->dead() && shards_[i]->HasActiveSessions()) {
+          WakeShard(i);
+        }
+      }
+    }
+    if (!config_.enable_watchdog) continue;
     Bump(metrics_.watchdog_checks);
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       Shard& shard = *shards_[i];
@@ -259,6 +331,8 @@ void EncodingService::FailOver(std::size_t index) {
       alive[target++ % alive.size()]->Add(std::move(orphan));
     }
   }
+  // The orphans' queued work arrived while they sat on the dead shard.
+  for (Shard* shard : alive) WakeShard(shard->index());
   failovers_.fetch_add(1, std::memory_order_relaxed);
   Bump(metrics_.watchdog_failovers);
 }

@@ -8,10 +8,18 @@
 //   clients ──Submit()──► Session queues (bounded, backpressure)
 //                               │ drained by
 //                         Shard::Step()  × config.shards
-//                               │ driven by self-rescheduling tasks on
-//                         ThreadPool(config.parallelism)
-//                               │ watched by
-//                         watchdog thread (heartbeats → failover)
+//                               │ driven, while they find work, by
+//                               │ tasks on ThreadPool(config.parallelism);
+//                               │ parked when idle, re-armed by work
+//                         watchdog thread (heartbeats → failover;
+//                                          idle-eviction ticks)
+//
+// Event-driven: an idle shard holds no pool worker and runs no timer.
+// Submit/SubmitColumns, a scheduled switch and CloseSession re-arm only
+// the owning shard; failover re-arms the survivors. When a DrainStep
+// empties a session the service notifies Drain() waiters and, if the
+// session carries a WatchDrained() request, the quiescence hook — the
+// network loop's wake-up for deferred DRAIN_STATS replies.
 //
 // Robustness contracts:
 //  - Submission is never unbounded: a batch that would overflow a
@@ -32,7 +40,9 @@
 #pragma once
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -54,7 +64,11 @@ struct ServiceConfig {
   bool start_drivers = true;
 
   std::size_t drain_batch = 256;
-  std::uint64_t idle_evict_steps = 0;  // 0 = never idle-evict
+  /// Evict a session after this many consecutive passes without work;
+  /// 0 = never idle-evict. With drivers running, an idle shard is only
+  /// stepped by the watchdog thread's `watchdog_interval` tick, which
+  /// runs whenever this is nonzero (even with enable_watchdog off).
+  std::uint64_t idle_evict_steps = 0;
   /// Defaults for OpenSession() without an explicit config.
   SessionConfig session;
 
@@ -63,9 +77,6 @@ struct ServiceConfig {
   /// Consecutive frozen-heartbeat checks (with pending work) before a
   /// shard is declared stuck and failed over.
   unsigned watchdog_stuck_strikes = 5;
-  /// Driver nap after a pass that found no work, so an idle service
-  /// does not spin a core.
-  std::chrono::milliseconds idle_backoff{1};
 };
 
 class EncodingService {
@@ -111,6 +122,8 @@ class EncodingService {
   bool EvictSession(std::uint64_t session_id);
 
   SessionReport Report(std::uint64_t session_id) const;
+  /// Session::ReportInto: Report() reusing the caller's storage.
+  void ReportInto(std::uint64_t session_id, SessionReport& report) const;
   std::vector<SessionReport> ReportAll() const;
 
   /// Whether `session_id` names a live session (any state). The network
@@ -118,21 +131,31 @@ class EncodingService {
   /// lookup.
   bool HasSession(std::uint64_t session_id) const;
 
-  /// Accesses queued and not yet processed for one session; zero means
-  /// the session is quiescent and Report() is complete (the wait_drained
-  /// deferral in src/net relies on this). Unknown ids throw
-  /// std::out_of_range.
-  std::size_t SessionQueued(std::uint64_t session_id) const;
+  /// Returns true if the session is quiescent now (queue empty, last
+  /// popped batch processed: Report() is complete); otherwise arms a
+  /// one-shot watch, and the quiescence hook fires once a shard drains
+  /// the session's queue to zero. The wait_drained deferral in src/net
+  /// rests on this. Unknown ids throw std::out_of_range.
+  bool WatchDrained(std::uint64_t session_id);
+
+  /// Callback for WatchDrained() sessions that have drained. It runs on
+  /// a shard thread, so it must be cheap and must not call back into
+  /// the service; an empty function removes it.
+  void SetQuiescenceHook(std::function<void()> hook);
 
   /// Wait until every queue is empty and all popped work has been
   /// processed, or the deadline passes; returns whether the service is
-  /// quiescent. In manual mode (start_drivers = false) this also steps
-  /// the shards itself.
+  /// quiescent. With drivers it sleeps until a shard reports a drained
+  /// session; in manual mode (start_drivers = false) it steps the shards
+  /// itself.
   bool Drain(std::chrono::milliseconds deadline);
 
   /// Stop drivers and watchdog. Bounded by ThreadPool::Shutdown: a
   /// wedged shard driver is abandoned at the deadline rather than
-  /// blocking forever. Idempotent.
+  /// blocking forever. Idempotent. Must not race Submit, SubmitColumns,
+  /// Renegotiate or CloseSession, which re-arm shards on the pool that
+  /// Stop() releases; after it returns they still queue work, but
+  /// nothing drains it.
   ShutdownResult Stop(
       std::chrono::milliseconds deadline = std::chrono::milliseconds(5000));
 
@@ -154,6 +177,11 @@ class EncodingService {
 
  private:
   void DriveShard(std::size_t index);
+  /// Re-arm a parked shard: schedule a driver unless one is queued or
+  /// running already. No-op in manual mode and once stopping.
+  void WakeShard(std::size_t index);
+  /// Shard callback: a DrainStep left `session`'s queue empty.
+  void OnDrained(Session& session);
   void WatchdogLoop();
   void FailOver(std::size_t index);
 
@@ -174,6 +202,15 @@ class EncodingService {
   std::mutex watchdog_mutex_;
   std::condition_variable watchdog_cv_;
   std::thread watchdog_;
+
+  std::mutex hook_mutex_;
+  std::function<void()> quiescence_hook_;
+
+  // Drain() waiters in driver mode; OnDrained notifies only when one
+  // is waiting.
+  std::atomic<unsigned> drain_waiters_{0};
+  std::mutex quiescent_mutex_;
+  std::condition_variable quiescent_cv_;
 };
 
 }  // namespace abenc::service

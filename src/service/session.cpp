@@ -47,6 +47,7 @@ ServiceMetrics ServiceMetrics::Resolve() {
   if (registry == nullptr) return m;
   m.sessions_opened = &registry->GetCounter("service.sessions.opened");
   m.sessions_closed = &registry->GetCounter("service.sessions.closed");
+  m.sessions_retired = &registry->GetCounter("service.sessions.retired");
   m.sessions_evicted = &registry->GetCounter("service.sessions.evicted");
   m.sessions_readmitted =
       &registry->GetCounter("service.sessions.readmitted");
@@ -211,8 +212,23 @@ std::size_t Session::DrainStep(std::size_t max_accesses) {
     queue_.push_front(std::move(drained_.back()));
   }
   drained_.clear();
-  queued_.fetch_sub(n, std::memory_order_release);
+  // seq_cst: pairs with WatchDrained's arm-then-check (see there).
+  queued_.fetch_sub(n);
   return n;
+}
+
+bool Session::WatchDrained() {
+  // Dekker pairing with DrainStep: arm, then look. Either this load sees
+  // the final decrement, or the drainer's TakeDrainWatch sees the arm.
+  drain_watch_.store(true);
+  if (queued_.load() != 0) return false;
+  drain_watch_.store(false);
+  return true;
+}
+
+bool Session::TakeDrainWatch() {
+  return drain_watch_.load() && queued_.load() == 0 &&
+         drain_watch_.exchange(false);
 }
 
 void Session::ProcessColumns(const Word* addresses, const std::uint8_t* sel,
@@ -322,7 +338,9 @@ void Session::TransferOne(Word address, bool sel) {
 bool Session::Evict() {
   std::lock_guard<std::mutex> drain(drain_mutex_);
   std::lock_guard<std::mutex> queue(queue_mutex_);
-  if (state_ != SessionState::kActive || !queue_.empty()) return false;
+  if (retired_ || state_ != SessionState::kActive || !queue_.empty()) {
+    return false;
+  }
   FoldSegment();
   reset_points_.push_back(
       static_cast<std::size_t>(processed_.load(std::memory_order_relaxed)));
@@ -330,6 +348,33 @@ bool Session::Evict() {
   channel_.reset();
   state_ = SessionState::kEvicted;
   Bump(metrics_->sessions_evicted);
+  return true;
+}
+
+bool Session::Retire() {
+  {
+    // Cheap pre-filter: the shard asks every pass, and only closed
+    // sessions are candidates.
+    std::lock_guard<std::mutex> queue(queue_mutex_);
+    if (retired_) return true;
+    if (!input_closed_ || !queue_.empty()) return false;
+  }
+  std::lock_guard<std::mutex> drain(drain_mutex_);
+  std::lock_guard<std::mutex> queue(queue_mutex_);
+  if (retired_) return true;
+  if (!input_closed_ || !queue_.empty()) return false;
+  // Fold the live segment so Report() needs no counter, then free what
+  // only processing uses. The state and every reported field stay:
+  // unlike Evict() this is not a reset point, because nothing follows.
+  if (counter_) FoldSegment();
+  counter_.reset();
+  acc_codec_.reset();
+  channel_.reset();
+  std::vector<BusState>().swap(states_);
+  std::vector<ColumnBatch>().swap(drained_);
+  std::deque<ColumnBatch>().swap(queue_);
+  retired_ = true;
+  Bump(metrics_->sessions_retired);
   return true;
 }
 
@@ -460,9 +505,14 @@ SessionState Session::state() const {
 }
 
 SessionReport Session::Report() const {
+  SessionReport report;
+  ReportInto(report);
+  return report;
+}
+
+void Session::ReportInto(SessionReport& report) const {
   std::lock_guard<std::mutex> drain(drain_mutex_);
   std::lock_guard<std::mutex> queue(queue_mutex_);
-  SessionReport report;
   report.id = id_;
   report.codec_name = folded_.codec_name;
   report.state = state_;
@@ -476,7 +526,8 @@ SessionReport Session::Report() const {
   report.rejected_batches = rejected_batches_;
   report.peak_queue_depth = peak_queue_depth_;
 
-  EvalResult result = folded_;
+  EvalResult& result = report.result;
+  result = folded_;
   if (counter_) {
     result.transitions += counter_->total();
     result.peak_transitions =
@@ -496,8 +547,6 @@ SessionReport Session::Report() const {
       processed < 2 ? 0.0
                     : 100.0 * static_cast<double>(in_seq_) /
                           static_cast<double>(processed - 1);
-  report.result = std::move(result);
-  return report;
 }
 
 }  // namespace abenc::service

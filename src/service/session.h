@@ -22,6 +22,11 @@
 //    like a Reset() one, so lifetime accounting of an evicted session
 //    equals EvaluateWithResets(stream, reset_points) — the contract
 //    tests/service_test.cpp and the soak harness pin.
+//  - a session whose input is closed and whose queue has drained is
+//    retired: its live segment is folded and its codec FSM, channel,
+//    scratch buffers and queue are freed for good. Unlike eviction this
+//    logs no reset point — a retired session never processes again —
+//    so its Report() is exactly the one it had before retirement.
 //
 // The degradation ladder for one access whose delivery fails
 // (receiver's word != transmitted address, or the protection layer
@@ -173,6 +178,7 @@ struct TransportCounters {
 struct ServiceMetrics {
   obs::Counter* sessions_opened = nullptr;
   obs::Counter* sessions_closed = nullptr;
+  obs::Counter* sessions_retired = nullptr;
   obs::Counter* sessions_evicted = nullptr;
   obs::Counter* sessions_readmitted = nullptr;
   obs::Counter* sessions_degraded = nullptr;
@@ -315,6 +321,24 @@ class Session {
     return queued_.load(std::memory_order_acquire);
   }
 
+  /// Ask for a quiescence notice: returns true if the queue is already
+  /// empty (no notice will follow), otherwise arms a one-shot watch
+  /// that the next DrainStep() emptying the queue claims through
+  /// TakeDrainWatch(). Pairs with DrainStep's seq_cst decrement, so a
+  /// drain racing the arming is never missed.
+  bool WatchDrained();
+
+  /// Shard side: claims an armed drain watch once the queue is empty.
+  bool TakeDrainWatch();
+
+  /// Index of the shard that currently owns the session (Shard::Add).
+  unsigned shard_index() const {
+    return shard_index_.load(std::memory_order_acquire);
+  }
+  void set_shard_index(unsigned index) {
+    shard_index_.store(index, std::memory_order_release);
+  }
+
   /// Accesses processed over the session's lifetime.
   std::uint64_t processed() const {
     return processed_.load(std::memory_order_relaxed);
@@ -333,11 +357,23 @@ class Session {
   /// session with an empty queue can be evicted; returns whether it was.
   bool Evict();
 
+  /// Free the processing state of a closed, fully drained session: fold
+  /// the live segment, drop the codec FSM, channel, scratch buffers and
+  /// queue. Returns whether the session is retired (now or earlier).
+  /// Report() is unchanged by it; Evict() and Renegotiate() refuse
+  /// afterwards, and new submissions still answer kClosed.
+  bool Retire();
+
   SessionState state() const;
 
   /// Quiescent snapshot; safe from any thread at any time, but only
   /// guaranteed complete once queued() == 0.
   SessionReport Report() const;
+
+  /// Report() into caller-owned storage, reusing its vectors' capacity,
+  /// so a caller that reports in a loop (the server's STATS replies)
+  /// does not allocate the session's history afresh every time.
+  void ReportInto(SessionReport& report) const;
 
  private:
   void BuildTransport();  // channel + fault models (drain_mutex_ held)
@@ -391,6 +427,7 @@ class Session {
   std::vector<std::size_t> reset_points_;
   TransportCounters transport_;
   SessionState state_ = SessionState::kActive;  // writers hold both locks
+  bool retired_ = false;                         // writers hold both locks
   bool degraded_ = false;       // ladder rung 3 taken on current FSMs
   bool ever_degraded_ = false;  // sticky, for the report
   std::uint64_t readmissions_ = 0;
@@ -402,6 +439,8 @@ class Session {
   std::atomic<std::size_t> queued_{0};
   std::atomic<std::uint64_t> processed_{0};
   std::atomic<std::uint64_t> idle_steps_{0};
+  std::atomic<bool> drain_watch_{false};
+  std::atomic<unsigned> shard_index_{0};
 };
 
 }  // namespace abenc::service

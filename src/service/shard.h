@@ -1,7 +1,8 @@
 // A shard of the encoding service: the unit of parallelism and of
 // failure containment. Each shard owns a set of sessions and drains them
-// round-robin, one bounded batch per session per Step(); a driver task
-// on the service's thread pool calls Step() in a loop.
+// round-robin, one bounded batch per session per Step(). A driver task
+// on the service's thread pool runs Step() while it finds work and then
+// parks the shard; Wake() re-arms it (see "Drive model" below).
 //
 // Robustness hooks:
 //  - a heartbeat counter advances at the end of every Step(), so the
@@ -20,7 +21,16 @@
 // Step() also applies the eviction policy after draining each session:
 // idle sessions (no work for `idle_evict_steps` consecutive steps) and
 // over-budget sessions are evicted — bounded state, deterministic
-// teardown (see session.h).
+// teardown (see session.h). A closed session whose queue has drained is
+// retired (Session::Retire) and leaves the step list for good.
+//
+// Drive model: `armed_` is true while a driver task is queued or running.
+// Wake() sets `wake_` and claims `armed_`; a caller that claims it must
+// schedule a driver. Step() clears `wake_` before its pass, and a pass
+// that finds no work calls Park(), which releases `armed_` and then
+// re-checks `wake_` and pending(): a wake-up that raced the empty pass
+// is never lost, because either the waker claims `armed_` after the
+// release or the re-check sees its flag.
 #pragma once
 
 #include <atomic>
@@ -41,8 +51,14 @@ class Shard {
     std::uint64_t idle_evict_steps = 0;  // 0 = never idle-evict
   };
 
-  Shard(unsigned index, Policy policy, const ServiceMetrics* metrics)
-      : index_(index), policy_(policy), metrics_(metrics) {}
+  /// `on_drained` runs on the stepping thread whenever a DrainStep()
+  /// leaves a session's queue empty.
+  Shard(unsigned index, Policy policy, const ServiceMetrics* metrics,
+        std::function<void(Session&)> on_drained = {})
+      : index_(index),
+        policy_(policy),
+        metrics_(metrics),
+        on_drained_(std::move(on_drained)) {}
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
@@ -57,6 +73,22 @@ class Shard {
   /// One drain pass over all owned sessions; returns whether any access
   /// was processed. No-op once dead.
   bool Step();
+
+  /// Signal work for this shard. Returns true when the shard was parked
+  /// and the caller must now schedule a driver task for it.
+  bool Wake();
+
+  /// Driver side, after a pass that found no work: park the shard.
+  /// Returns true when parked; false when work arrived meanwhile and
+  /// the calling driver must carry on.
+  bool Park();
+
+  /// Sessions in the step list (live ones; retired sessions leave it).
+  std::size_t size() const;
+
+  /// Whether any owned session is active (not evicted): the sessions an
+  /// idle-eviction pass can still act on.
+  bool HasActiveSessions() const;
 
   /// Advances at the end of every completed Step().
   std::uint64_t heartbeat() const {
@@ -79,6 +111,7 @@ class Shard {
   const unsigned index_;
   const Policy policy_;
   const ServiceMetrics* metrics_;
+  const std::function<void(Session&)> on_drained_;
 
   mutable std::mutex mutex_;  // guards sessions_ and stall_hook_
   std::vector<std::shared_ptr<Session>> sessions_;
@@ -86,6 +119,8 @@ class Shard {
 
   std::atomic<std::uint64_t> heartbeat_{0};
   std::atomic<bool> dead_{false};
+  std::atomic<bool> armed_{false};  // a driver is queued or running
+  std::atomic<bool> wake_{false};   // work signalled since the last pass
 };
 
 }  // namespace abenc::service

@@ -6,9 +6,14 @@
 // malformed-input catalogue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/codec_factory.h"
@@ -123,6 +128,76 @@ TEST(NetProtocolTest, StatsRoundTripCarriesFullAccounting) {
   EXPECT_EQ(decoded.readmissions, 2u);
   EXPECT_EQ(decoded.rejected_batches, 5u);
   EXPECT_EQ(decoded.peak_queue_depth, 200u);
+}
+
+TEST(NetProtocolTest, StatsFrameEncodedInPlaceMatchesEncodeFrame) {
+  // The server encodes STATS straight from a session report into its out
+  // buffer, behind bytes already queued there; the wire image must be
+  // the one the StatsReply path produces.
+  service::SessionReport report;
+  report.id = 42;
+  report.state = service::SessionState::kEvicted;
+  report.input_closed = true;
+  report.result.stream_length = 9000;
+  report.result.transitions = 123456;
+  report.result.peak_transitions = 31;
+  report.result.in_sequence_percent = 12.5;
+  report.result.per_line = {5, 0, 7, 11};
+  report.transport.transfers = 9000;
+  report.transport.clean = 9000;
+  report.rejected_batches = 3;
+  report.peak_queue_depth = 700;
+  for (std::size_t i = 1; i <= 300; ++i) {
+    report.reset_points.push_back(i * 30);
+    report.renegotiations.push_back(
+        CodecSwitchPoint{i * 30, i % 2 ? "gray" : "bus-invert"});
+  }
+  report.active_codec = "bus-invert";
+
+  for (const std::uint32_t caps : {0u, kCapRenegotiate}) {
+    SCOPED_TRACE(caps);
+    const std::vector<std::uint8_t> want = EncodeFrame(
+        FrameType::kStats, EncodeStats(StatsFromReport(report, 9001), caps));
+    const std::vector<std::uint8_t> prefix =
+        EncodeFrame(FrameType::kCloseOk, EncodeCloseOk(CloseReply{42}));
+    std::vector<std::uint8_t> out = prefix;
+    AppendStatsFrame(out, report, 9001, caps);
+    ASSERT_EQ(out.size(), prefix.size() + want.size());
+    EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), out.begin()));
+    EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                           out.begin() + static_cast<std::ptrdiff_t>(
+                                             prefix.size())));
+
+    // And it decodes to the report it came from.
+    out.erase(out.begin(),
+              out.begin() + static_cast<std::ptrdiff_t>(prefix.size()));
+    const std::optional<Frame> frame =
+        TryExtractFrame(out, kDefaultMaxFrameBytes);
+    ASSERT_TRUE(frame.has_value());
+    const StatsReply decoded = DecodeStats(frame->payload, caps);
+    EXPECT_EQ(decoded.accepted, 9001u);
+    EXPECT_EQ(decoded.state, 1);
+    EXPECT_EQ(decoded.reset_points,
+              std::vector<std::uint64_t>(report.reset_points.begin(),
+                                         report.reset_points.end()));
+    EXPECT_EQ(decoded.per_line, report.result.per_line);
+    if (caps != 0) {
+      EXPECT_EQ(decoded.renegotiations, report.renegotiations);
+      EXPECT_EQ(decoded.active_codec, report.active_codec);
+    }
+  }
+}
+
+TEST(NetProtocolTest, AppendFrameMatchesEncodeFrame) {
+  const std::vector<std::uint8_t> payload =
+      EncodeSubmitAck(SubmitAck{}, kCapRenegotiate);
+  std::vector<std::uint8_t> out = {0xAA};
+  AppendFrame(out, FrameType::kSubmitAck, payload);
+  std::vector<std::uint8_t> want = {0xAA};
+  const std::vector<std::uint8_t> frame =
+      EncodeFrame(FrameType::kSubmitAck, payload);
+  want.insert(want.end(), frame.begin(), frame.end());
+  EXPECT_EQ(out, want);
 }
 
 TEST(NetProtocolTest, TruncatedPayloadThrowsNotHalfApplies) {
@@ -628,6 +703,130 @@ TEST(NetServerTest, MidFrameDisconnectResumesExactlyOnce) {
   EXPECT_EQ(stats.per_line,
             std::vector<long long>(expected.per_line.begin(),
                                    expected.per_line.end()));
+  server.Stop();
+}
+
+TEST(NetServerTest, DeferredStatsReplyFollowsTheDrainNotThePollTick) {
+  // A drained STATS must come back when the session drains, not when
+  // the loop's poll() next times out: the shard that empties the queue
+  // wakes the loop. Each round holds the shards on a gate until the
+  // server has deferred the DRAIN_STATS, then times the reply from the
+  // moment the drain is released. With a timer on that path the median
+  // would be about half a poll period or more.
+  struct Gate {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool open = true;
+  };
+  auto gate = std::make_shared<Gate>();
+  Server server(LoopbackConfig());
+  service::EncodingService& service = server.service();
+  for (unsigned i = 0; i < service.shard_count(); ++i) {
+    service.shard(i).SetStallHook([gate]() {
+      std::unique_lock<std::mutex> lock(gate->mutex);
+      gate->cv.wait(lock, [&]() { return gate->open; });
+    });
+  }
+  server.Start();
+  Client client(OptionsFor(server));
+  const OpenReply opened = client.Open(OpenRequest{});
+  const std::vector<BusAccess> stream = TestStream(50 * 32, 21);
+  const std::span<const BusAccess> all(stream);
+
+  std::vector<double> reply_ms;
+  for (std::size_t round = 0; round < 50; ++round) {
+    {
+      std::lock_guard<std::mutex> lock(gate->mutex);
+      gate->open = false;
+    }
+    const SubmitAck ack =
+        client.Submit(opened.session_id, all.subspan(round * 32, 32));
+    ASSERT_EQ(ack.status, Status::kOk);
+    // The DRAIN_STATS about to be sent is the next frame the server
+    // receives; release the drain only once it has been dispatched.
+    const std::uint64_t drain_frame = server.stats().frames_received + 1;
+    std::chrono::steady_clock::time_point released;
+    std::thread opener([&]() {
+      while (server.stats().frames_received < drain_frame) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      {
+        std::lock_guard<std::mutex> lock(gate->mutex);
+        gate->open = true;
+        released = std::chrono::steady_clock::now();
+      }
+      gate->cv.notify_all();
+    });
+    const StatsReply stats =
+        client.DrainStats(opened.session_id, /*wait_drained=*/true);
+    const auto replied = std::chrono::steady_clock::now();
+    opener.join();
+    ASSERT_EQ(stats.stream_length, (round + 1) * 32);
+    reply_ms.push_back(
+        std::chrono::duration<double, std::milli>(replied - released)
+            .count());
+  }
+  std::nth_element(reply_ms.begin(), reply_ms.begin() + 25, reply_ms.end());
+  const double poll_ms =
+      std::chrono::duration<double, std::milli>(kLoopPollPeriod).count();
+  EXPECT_LT(reply_ms[25], poll_ms / 4)
+      << "median drained-STATS reply after the drain was released";
+  server.Stop();
+}
+
+TEST(NetServerTest, StatsAndAttachAnswerAfterCloseAndRetirement) {
+  Server server(LoopbackConfig());
+  server.Start();
+  auto client = std::make_unique<Client>(OptionsFor(server));
+  OpenRequest open;
+  open.codec = "dual-t0-bi";
+  const OpenReply opened = client->Open(open);
+  const std::vector<BusAccess> stream = TestStream(300, 23);
+  ASSERT_EQ(client->Submit(opened.session_id, stream).status, Status::kOk);
+  const StatsReply before = client->DrainStats(opened.session_id, true);
+  client->Close(opened.session_id);
+
+  // CLOSE retires the drained session; wait until it left its shard.
+  service::EncodingService& service = server.service();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  auto live = [&]() {
+    std::size_t n = 0;
+    for (unsigned i = 0; i < service.shard_count(); ++i) {
+      n += service.shard(i).size();
+    }
+    return n;
+  };
+  while (live() != 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(live(), 0u);
+
+  const auto same_accounting = [&](const StatsReply& after) {
+    EXPECT_TRUE(after.input_closed);
+    EXPECT_EQ(after.state, before.state);
+    EXPECT_EQ(after.accepted, before.accepted);
+    EXPECT_EQ(after.stream_length, before.stream_length);
+    EXPECT_EQ(after.transitions, before.transitions);
+    EXPECT_EQ(after.peak_transitions, before.peak_transitions);
+    EXPECT_EQ(after.in_sequence_percent, before.in_sequence_percent);
+    EXPECT_EQ(after.per_line, before.per_line);
+    EXPECT_EQ(after.reset_points, before.reset_points);
+    EXPECT_EQ(after.transport.transfers, before.transport.transfers);
+    EXPECT_EQ(after.renegotiations, before.renegotiations);
+    EXPECT_EQ(after.active_codec, before.active_codec);
+  };
+  same_accounting(client->DrainStats(opened.session_id, true));
+  EXPECT_EQ(client->Submit(opened.session_id, stream).status,
+            Status::kClosed);
+
+  // A new connection resumes the retired session by token.
+  client = std::make_unique<Client>(OptionsFor(server));
+  const AttachReply attach = client->Attach(opened.session_id, opened.token);
+  EXPECT_EQ(attach.accepted, stream.size());
+  EXPECT_EQ(attach.active_codec, "dual-t0-bi");
+  same_accounting(client->DrainStats(opened.session_id, false));
   server.Stop();
 }
 

@@ -704,6 +704,224 @@ TEST(WatchdogTest, FailsOverAWedgedShardAndNoWorkIsLost) {
   }
 }
 
+std::uint64_t TotalHeartbeats(EncodingService& service) {
+  std::uint64_t beats = 0;
+  for (unsigned i = 0; i < service.shard_count(); ++i) {
+    beats += service.shard(i).heartbeat();
+  }
+  return beats;
+}
+
+/// Whether the shards stop stepping: heartbeats unchanged over 10 ms,
+/// within a generous deadline for slow (sanitizer) builds.
+bool HeartbeatsSettle(EncodingService& service) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const std::uint64_t beats = TotalHeartbeats(service);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    if (TotalHeartbeats(service) == beats) return true;
+  }
+  return false;
+}
+
+std::size_t LiveSessions(EncodingService& service) {
+  std::size_t n = 0;
+  for (unsigned i = 0; i < service.shard_count(); ++i) {
+    n += service.shard(i).size();
+  }
+  return n;
+}
+
+TEST(DriveModelTest, ParkedServiceDrainsASubmitWithNoTimerExpiring) {
+  // The watchdog's tick is the only timer in the service; pushing it out
+  // to an hour leaves nothing but the Submit itself to wake a shard.
+  ServiceConfig service_config;
+  service_config.shards = 2;
+  service_config.parallelism = 2;
+  service_config.watchdog_interval = std::chrono::hours(1);
+  EncodingService service(service_config);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool drained = false;
+  service.SetQuiescenceHook([&]() {
+    std::lock_guard<std::mutex> lock(mutex);
+    drained = true;
+    cv.notify_all();
+  });
+  const std::uint64_t id = service.OpenSession();
+  const std::vector<BusAccess> stream =
+      TestStream(verify::StreamFamily::kMultiplexed, 31, 20 * 48);
+  const std::span<const BusAccess> span(stream);
+
+  for (std::size_t round = 0; round < 20; ++round) {
+    // Parked: once the pass after the drain has found nothing, an idle
+    // shard takes no passes at all.
+    ASSERT_TRUE(HeartbeatsSettle(service)) << "round " << round;
+
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      drained = false;
+    }
+    ASSERT_EQ(service.Submit(id, span.subspan(round * 48, 48)),
+              Admission::kAccepted);
+    if (!service.WatchDrained(id)) {
+      // The notice comes from the shard that drained the session.
+      std::unique_lock<std::mutex> lock(mutex);
+      ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                              [&]() { return drained; }))
+          << "round " << round;
+    }
+    EXPECT_TRUE(service.WatchDrained(id));  // quiescent: nothing left armed
+    EXPECT_EQ(service.Report(id).result.stream_length, (round + 1) * 48);
+    // Drain() rests on the same notices, never on a sleep loop.
+    ASSERT_TRUE(service.Drain(std::chrono::seconds(30)));
+  }
+  CodecPtr reference = MakeCodec("t0");
+  ExpectSameEvalResult(service.Report(id).result,
+                       Evaluate(*reference, stream));
+  service.SetQuiescenceHook({});
+}
+
+TEST(DriveModelTest, IdleEvictionRunsOffTheWatchdogTick) {
+  // Parked shards take no passes of their own; the tick supplies them,
+  // with or without the failover watchdog.
+  ServiceConfig service_config;
+  service_config.shards = 2;
+  service_config.parallelism = 2;
+  service_config.enable_watchdog = false;
+  service_config.watchdog_interval = std::chrono::milliseconds(2);
+  service_config.idle_evict_steps = 3;
+  EncodingService service(service_config);
+  const std::uint64_t id = service.OpenSession();
+  const std::vector<BusAccess> stream =
+      TestStream(verify::StreamFamily::kBranchHeavy, 37, 200);
+  ASSERT_EQ(service.Submit(id, stream), Admission::kAccepted);
+  ASSERT_TRUE(service.Drain(std::chrono::seconds(30)));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (service.Report(id).state != SessionState::kEvicted &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(service.Report(id).state, SessionState::kEvicted);
+  // Nothing active is left, so the tick stops stepping the shards.
+  EXPECT_TRUE(HeartbeatsSettle(service));
+}
+
+void ExpectSameReport(const SessionReport& got, const SessionReport& want) {
+  EXPECT_EQ(got.id, want.id);
+  EXPECT_EQ(got.codec_name, want.codec_name);
+  EXPECT_EQ(got.state, want.state);
+  EXPECT_EQ(got.degraded, want.degraded);
+  EXPECT_EQ(got.result.codec_name, want.result.codec_name);
+  ExpectSameEvalResult(got.result, want.result);
+  EXPECT_EQ(got.transport.transfers, want.transport.transfers);
+  EXPECT_EQ(got.transport.clean, want.transport.clean);
+  EXPECT_EQ(got.transport.corrected, want.transport.corrected);
+  EXPECT_EQ(got.transport.recovered, want.transport.recovered);
+  EXPECT_EQ(got.transport.degraded_deliveries,
+            want.transport.degraded_deliveries);
+  EXPECT_EQ(got.transport.retries, want.transport.retries);
+  EXPECT_EQ(got.transport.forced_resyncs, want.transport.forced_resyncs);
+  EXPECT_EQ(got.reset_points, want.reset_points);
+  EXPECT_EQ(got.renegotiations, want.renegotiations);
+  EXPECT_EQ(got.active_codec, want.active_codec);
+  EXPECT_EQ(got.readmissions, want.readmissions);
+  EXPECT_EQ(got.rejected_batches, want.rejected_batches);
+  EXPECT_EQ(got.peak_queue_depth, want.peak_queue_depth);
+}
+
+// Open, submit, drain and close `count` sessions: a rotating codec, a
+// scheduled switch on every third, an eviction on every fifth.
+struct RetirementRun {
+  std::vector<std::uint64_t> ids;
+  std::vector<std::vector<BusAccess>> streams;
+  std::vector<std::string> codecs;
+  std::vector<SessionReport> before;  // drained, just before CLOSE
+};
+
+RetirementRun OpenSubmitDrainClose(EncodingService& service,
+                                   std::size_t count) {
+  const char* const palette[] = {"t0", "bus-invert", "dual-t0-bi", "gray"};
+  RetirementRun run;
+  for (std::size_t i = 0; i < count; ++i) {
+    SessionConfig config;
+    config.codec_name = palette[i % std::size(palette)];
+    const std::uint64_t id = service.OpenSession(config);
+    std::vector<BusAccess> stream =
+        TestStream(verify::StreamFamily::kMultiplexed, 500 + i, 40);
+    const std::span<const BusAccess> span(stream);
+    EXPECT_EQ(service.Submit(id, span.subspan(0, 24)), Admission::kAccepted);
+    if (i % 3 == 0) {
+      EXPECT_TRUE(service.Renegotiate(id, "inc-xor").ok());
+    }
+    EXPECT_EQ(service.Submit(id, span.subspan(24)), Admission::kAccepted);
+    EXPECT_TRUE(service.Drain(std::chrono::seconds(30)));
+    if (i % 5 == 0) {
+      EXPECT_TRUE(service.EvictSession(id));
+    }
+    run.before.push_back(service.Report(id));
+    service.CloseSession(id);
+    run.ids.push_back(id);
+    run.streams.push_back(std::move(stream));
+    run.codecs.push_back(config.codec_name);
+  }
+  return run;
+}
+
+void ExpectRetiredSessionsIntact(EncodingService& service,
+                                 const RetirementRun& run) {
+  for (std::size_t i = 0; i < run.ids.size(); ++i) {
+    SCOPED_TRACE(i);
+    const std::uint64_t id = run.ids[i];
+    const SessionReport after = service.Report(id);
+    EXPECT_TRUE(after.input_closed);
+    ExpectSameReport(after, run.before[i]);
+    ExpectSameEvalResult(
+        after.result,
+        EvaluateWithSchedule(run.codecs[i], CodecOptions{}, run.streams[i],
+                             after.renegotiations, after.reset_points));
+    // Retired sessions refuse every state change cleanly.
+    EXPECT_FALSE(service.EvictSession(id));
+    EXPECT_EQ(service.Renegotiate(id, "gray").status,
+              RenegotiateStatus::kRefusedClosed);
+    EXPECT_EQ(service.Submit(id, std::span<const BusAccess>(run.streams[i])),
+              Admission::kClosed);
+    ExpectSameReport(service.Report(id), run.before[i]);
+  }
+}
+
+TEST(RetirementTest, ManualModeRetiresClosedDrainedSessions) {
+  EncodingService service(ManualMode(2));
+  const std::uint64_t keep = service.OpenSession();  // stays live
+  const RetirementRun run = OpenSubmitDrainClose(service, 1000);
+  service.StepAll();  // the retiring pass
+  EXPECT_EQ(LiveSessions(service), 1u);
+  ExpectRetiredSessionsIntact(service, run);
+  EXPECT_EQ(service.Report(keep).state, SessionState::kActive);
+  EXPECT_EQ(service.ReportAll().size(), 1001u);
+}
+
+TEST(RetirementTest, DriverModeRetiresClosedDrainedSessions) {
+  ServiceConfig service_config;
+  service_config.shards = 2;
+  service_config.parallelism = 2;
+  service_config.enable_watchdog = false;
+  EncodingService service(service_config);
+  const RetirementRun run = OpenSubmitDrainClose(service, 1000);
+  // CLOSE re-arms the shard, whose next pass retires the session.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (LiveSessions(service) != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(LiveSessions(service), 0u);
+  ExpectRetiredSessionsIntact(service, run);
+  EXPECT_EQ(service.Stop(), ShutdownResult::kDrained);
+}
+
 TEST(SoakTest, SmokeRunIsBitIdenticalUnderFaults) {
   SoakOptions options;
   options.sessions = 48;
