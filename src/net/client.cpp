@@ -160,8 +160,10 @@ StreamSubmitResult Client::SubmitColumns(std::uint64_t session_id,
       result.closed = true;
       return false;
     }
-    // Admission rejection: give the queue a moment to drain before the
-    // rewound frames go out again.
+    // Rejection: give the queue a moment to drain before the rewound
+    // frames go out again. A server that holds full-queue frames (see
+    // docs/PROTOCOL.md) rejects only stale offsets and batches larger
+    // than the queue, so a stream through one never waits here.
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     return true;
   };

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -86,6 +87,10 @@ struct Server::Conn {
   std::set<std::uint64_t> sessions;
   /// DRAIN_STATS with wait_drained: replies deferred until quiescent.
   std::vector<std::uint64_t> pending_stats;
+  /// A SUBMIT_STREAM waiting for queue space. While set, the socket is
+  /// not read and no later frame is dispatched, so frames still apply
+  /// in order and the sender is paced by TCP rather than by rejections.
+  std::optional<Frame> held;
 };
 
 class Server::Loop {
@@ -136,6 +141,7 @@ class Server::Loop {
   void Run() {
     while (!stop_.load(std::memory_order_acquire)) {
       PollOnce();
+      ServeHeldSubmits();
       ServePendingStats();
       EnforceTimeouts();
     }
@@ -157,7 +163,7 @@ class Server::Loop {
     fds.push_back({listen_fd_, POLLIN, 0});
     fds.push_back({wake_.read_fd(), POLLIN, 0});
     for (auto& [fd, conn] : conns_) {
-      short events = POLLIN;
+      short events = conn.held ? 0 : POLLIN;  // hangups are still seen
       if (conn.out_pos < conn.out.size()) events |= POLLOUT;
       fds.push_back({fd, events, 0});
     }
@@ -225,7 +231,15 @@ class Server::Loop {
     // the same poll cycle: a client that sends a violation and
     // half-closes still gets its protocol ERROR before the close. Only
     // a trailing *partial* frame is discarded whole.
-    while (!conn.close_after_flush) {
+    DispatchBuffered(conn);
+    if (peer_eof) conn.close_after_flush = true;
+    return true;
+  }
+
+  /// Extract and dispatch the complete frames in `conn.in`, stopping at
+  /// a held SUBMIT_STREAM.
+  void DispatchBuffered(Conn& conn) {
+    while (!conn.close_after_flush && !conn.held) {
       std::optional<Frame> frame;
       try {
         frame = TryExtractFrame(conn.in, config_.max_frame_bytes);
@@ -237,8 +251,6 @@ class Server::Loop {
       frames_received_.fetch_add(1, std::memory_order_relaxed);
       DispatchFrame(conn, *frame);
     }
-    if (peer_eof) conn.close_after_flush = true;
-    return true;
   }
 
   void DispatchFrame(Conn& conn, const Frame& frame) {
@@ -468,6 +480,13 @@ class Server::Loop {
     Status status;
     if (request.offset != slot->accepted) {
       status = Status::kRejected;  // stale offset: nothing queued
+    } else if (!service_.WatchRoom(request.session_id, count)) {
+      // The queue is too full for the batch, but a shard is draining
+      // it: hold the frame and retry when the shard reports room,
+      // instead of rejecting a pipelined window the sender would have
+      // to rewind and resend.
+      conn.held = frame;
+      return;
     } else {
       const service::Admission admission = service_.SubmitColumns(
           request.session_id, std::move(request.columns));
@@ -584,6 +603,19 @@ class Server::Loop {
     FlushOut(conn);
   }
 
+  /// Held SUBMIT_STREAMs: retried whenever the loop wakes (a room
+  /// notice, another connection's traffic, the poll period). A frame
+  /// that still finds no room re-arms its watch and stays held; one
+  /// that is decided lets the connection's buffered frames follow.
+  void ServeHeldSubmits() {
+    for (auto& [fd, conn] : conns_) {
+      if (!conn.held) continue;
+      const std::optional<Frame> frame = std::exchange(conn.held, {});
+      DispatchFrame(conn, *frame);
+      DispatchBuffered(conn);
+    }
+  }
+
   /// Deferred DRAIN_STATS replies: answered as soon as the session's
   /// queue is empty and its last popped batch has been processed. One
   /// still waiting re-arms its watch (a pipelined SUBMIT may have
@@ -609,8 +641,8 @@ class Server::Loop {
     const Clock::time_point now = Clock::now();
     std::vector<int> drops;
     for (auto& [fd, conn] : conns_) {
-      const bool owes_reply =
-          !conn.pending_stats.empty() || conn.out_pos < conn.out.size();
+      const bool owes_reply = !conn.pending_stats.empty() || conn.held ||
+                              conn.out_pos < conn.out.size();
       if (!owes_reply && now - conn.last_in > config_.read_timeout) {
         drops.push_back(fd);
         timeouts_.fetch_add(1, std::memory_order_relaxed);

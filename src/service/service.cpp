@@ -14,7 +14,8 @@ EncodingService::EncodingService(ServiceConfig config)
   shards_.reserve(config_.shards);
   for (unsigned i = 0; i < config_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(
-        i, policy, &metrics_, [this](Session& session) { OnDrained(session); }));
+        i, policy, &metrics_,
+        [this](Session& session) { OnProgress(session); }));
   }
   // Shards start parked: the first Submit() arms its shard.
   if (config_.start_drivers) {
@@ -39,18 +40,31 @@ std::uint64_t EncodingService::OpenSession(
   std::lock_guard<std::mutex> lock(sessions_mutex_);
   const std::uint64_t id = next_session_id_++;
   auto session = std::make_shared<Session>(id, session_config, &metrics_);
-  // Round-robin placement over live shards; a dead shard never gets new
-  // sessions.
+  // Least-loaded placement over live shards, ties broken round-robin
+  // from the cursor; a dead shard never gets new sessions. Retired
+  // sessions have left their step lists, so a session opened as another
+  // closes goes to an empty shard instead of doubling up behind a busy
+  // one whatever order the opens and closes happened to interleave in.
+  // With no retirements this is plain round-robin.
+  Shard* target = nullptr;
+  std::size_t target_load = 0;
   for (std::size_t probe = 0; probe < shards_.size(); ++probe) {
-    Shard& shard = *shards_[next_shard_++ % shards_.size()];
-    if (!shard.dead()) {
-      shard.Add(session);
-      sessions_.emplace(id, std::move(session));
-      Bump(metrics_.sessions_opened);
-      return id;
+    Shard& shard = *shards_[(next_shard_ + probe) % shards_.size()];
+    if (shard.dead()) continue;
+    const std::size_t load = shard.size();
+    if (target == nullptr || load < target_load) {
+      target = &shard;
+      target_load = load;
     }
   }
-  throw std::runtime_error("EncodingService: every shard has failed");
+  if (target == nullptr) {
+    throw std::runtime_error("EncodingService: every shard has failed");
+  }
+  next_shard_ = target->index() + 1;
+  target->Add(session);
+  sessions_.emplace(id, std::move(session));
+  Bump(metrics_.sessions_opened);
+  return id;
 }
 
 namespace {
@@ -138,6 +152,10 @@ bool EncodingService::WatchDrained(std::uint64_t session_id) {
   return FindSession(sessions_, session_id, sessions_mutex_)->WatchDrained();
 }
 
+bool EncodingService::WatchRoom(std::uint64_t session_id, std::size_t size) {
+  return FindSession(sessions_, session_id, sessions_mutex_)->WatchRoom(size);
+}
+
 void EncodingService::SetQuiescenceHook(std::function<void()> hook) {
   std::lock_guard<std::mutex> lock(hook_mutex_);
   quiescence_hook_ = std::move(hook);
@@ -181,7 +199,7 @@ bool EncodingService::Drain(std::chrono::milliseconds deadline) {
       StepAll();
     }
   }
-  // Register before looking (seq_cst, pairs with OnDrained): a drain
+  // Register before looking (seq_cst, pairs with OnProgress): a drain
   // that empties the last queue either is seen by the predicate or
   // sees this waiter and notifies.
   drain_waiters_.fetch_add(1);
@@ -250,12 +268,12 @@ void EncodingService::WakeShard(std::size_t index) {
   }
 }
 
-void EncodingService::OnDrained(Session& session) {
-  if (session.TakeDrainWatch()) {
+void EncodingService::OnProgress(Session& session) {
+  if (session.TakeRoomWatch() || session.TakeDrainWatch()) {
     std::lock_guard<std::mutex> lock(hook_mutex_);
     if (quiescence_hook_) quiescence_hook_();
   }
-  if (drain_waiters_.load() != 0) {
+  if (session.queued() == 0 && drain_waiters_.load() != 0) {
     // Taking the mutex orders this notify after a waiter's predicate
     // check, so the wake-up cannot fall between check and sleep.
     { std::lock_guard<std::mutex> lock(quiescent_mutex_); }

@@ -19,7 +19,9 @@
 // the owning shard; failover re-arms the survivors. When a DrainStep
 // empties a session the service notifies Drain() waiters and, if the
 // session carries a WatchDrained() request, the quiescence hook — the
-// network loop's wake-up for deferred DRAIN_STATS replies.
+// network loop's wake-up for deferred DRAIN_STATS replies. A fired
+// WatchRoom() request rings the same hook, which is how the loop
+// resumes a SUBMIT_STREAM it held for lack of queue space.
 //
 // Robustness contracts:
 //  - Submission is never unbounded: a batch that would overflow a
@@ -138,8 +140,16 @@ class EncodingService {
   /// rests on this. Unknown ids throw std::out_of_range.
   bool WatchDrained(std::uint64_t session_id);
 
-  /// Callback for WatchDrained() sessions that have drained. It runs on
-  /// a shard thread, so it must be cheap and must not call back into
+  /// Returns true if a batch of `size` accesses would not be rejected
+  /// for lack of queue space now (Session::WatchRoom); otherwise arms a
+  /// one-shot watch, and the quiescence hook fires once a shard has
+  /// drained the queue back to the resume depth. The network loop holds
+  /// a SUBMIT_STREAM on this instead of rejecting it. Unknown ids throw
+  /// std::out_of_range.
+  bool WatchRoom(std::uint64_t session_id, std::size_t size);
+
+  /// Callback for fired WatchDrained() and WatchRoom() watches. It runs
+  /// on a shard thread, so it must be cheap and must not call back into
   /// the service; an empty function removes it.
   void SetQuiescenceHook(std::function<void()> hook);
 
@@ -180,8 +190,9 @@ class EncodingService {
   /// Re-arm a parked shard: schedule a driver unless one is queued or
   /// running already. No-op in manual mode and once stopping.
   void WakeShard(std::size_t index);
-  /// Shard callback: a DrainStep left `session`'s queue empty.
-  void OnDrained(Session& session);
+  /// Shard callback after a DrainStep that processed work: fires the
+  /// session's room and drain watches and wakes Drain() waiters.
+  void OnProgress(Session& session);
   void WatchdogLoop();
   void FailOver(std::size_t index);
 
@@ -193,7 +204,7 @@ class EncodingService {
   mutable std::mutex sessions_mutex_;
   std::map<std::uint64_t, std::shared_ptr<Session>> sessions_;
   std::uint64_t next_session_id_ = 1;
-  std::size_t next_shard_ = 0;  // round-robin placement
+  std::size_t next_shard_ = 0;  // placement tie-break cursor
 
   std::atomic<bool> stopping_{false};
   bool stopped_ = false;  // Stop() ran to completion (main thread only)
@@ -206,7 +217,7 @@ class EncodingService {
   std::mutex hook_mutex_;
   std::function<void()> quiescence_hook_;
 
-  // Drain() waiters in driver mode; OnDrained notifies only when one
+  // Drain() waiters in driver mode; OnProgress notifies only when one
   // is waiting.
   std::atomic<unsigned> drain_waiters_{0};
   std::mutex quiescent_mutex_;

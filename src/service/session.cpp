@@ -183,6 +183,10 @@ std::size_t Session::DrainStep(std::size_t max_accesses) {
     // process; a partial batch's unprocessed tail stays counted until a
     // later step takes it (same depths the flat row queue exposed).
     queue_accesses_ -= n;
+    if (room_watch_ != 0 && queue_accesses_ <= RoomResumeDepth(room_watch_)) {
+      room_watch_ = 0;
+      room_ready_.store(true, std::memory_order_release);
+    }
   }
   idle_steps_.store(0, std::memory_order_relaxed);
   if (state_ == SessionState::kEvicted) {
@@ -229,6 +233,25 @@ bool Session::WatchDrained() {
 bool Session::TakeDrainWatch() {
   return drain_watch_.load() && queued_.load() == 0 &&
          drain_watch_.exchange(false);
+}
+
+std::size_t Session::RoomResumeDepth(std::size_t size) const {
+  return std::min(config_.slowdown_watermark, config_.queue_capacity - size);
+}
+
+bool Session::WatchRoom(std::size_t size) {
+  std::lock_guard<std::mutex> lock(queue_mutex_);
+  if (input_closed_ || size > config_.queue_capacity ||
+      queue_accesses_ + size <= config_.queue_capacity) {
+    return true;
+  }
+  room_watch_ = size;
+  return false;
+}
+
+bool Session::TakeRoomWatch() {
+  return room_ready_.load(std::memory_order_acquire) &&
+         room_ready_.exchange(false);
 }
 
 void Session::ProcessColumns(const Word* addresses, const std::uint8_t* sel,

@@ -331,6 +331,19 @@ class Session {
   /// Shard side: claims an armed drain watch once the queue is empty.
   bool TakeDrainWatch();
 
+  /// Ask for a room notice for a batch of `size` accesses: returns true
+  /// if SubmitColumns() would not reject it for lack of space right now
+  /// (it fits, it can never fit, or the input is closed), otherwise
+  /// arms a one-shot watch that the first DrainStep() bringing the queue
+  /// down to the resume depth claims through TakeRoomWatch(). The resume
+  /// depth is the slow-down watermark, or lower when the batch needs
+  /// more than the space above it. Checked and armed under the queue
+  /// lock, so a pop racing the arming is never missed.
+  bool WatchRoom(std::size_t size);
+
+  /// Shard side: claims a fired room watch (see WatchRoom()).
+  bool TakeRoomWatch();
+
   /// Index of the shard that currently owns the session (Shard::Add).
   unsigned shard_index() const {
     return shard_index_.load(std::memory_order_acquire);
@@ -379,6 +392,9 @@ class Session {
   void BuildTransport();  // channel + fault models (drain_mutex_ held)
   void Readmit();         // fresh FSMs after eviction (drain_mutex_ held)
   void FoldSegment();     // live counter -> folded_ (drain_mutex_ held)
+  // Queue depth at or below which an armed room watch for a batch of
+  // `size` accesses fires (see WatchRoom()).
+  std::size_t RoomResumeDepth(std::size_t size) const;
   // Process `count` accesses, splitting runs at a pending codec switch
   // (drain_mutex_ held).
   void ProcessColumns(const Word* addresses, const std::uint8_t* sel,
@@ -440,6 +456,8 @@ class Session {
   std::atomic<std::uint64_t> processed_{0};
   std::atomic<std::uint64_t> idle_steps_{0};
   std::atomic<bool> drain_watch_{false};
+  std::size_t room_watch_ = 0;  // armed batch size; 0 = none (queue lock)
+  std::atomic<bool> room_ready_{false};  // room watch fired, unclaimed
   std::atomic<unsigned> shard_index_{0};
 };
 

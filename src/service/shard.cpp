@@ -67,9 +67,7 @@ bool Shard::Step() {
     }
     if (session->Retire()) retired.push_back(session.get());
     // Last, so whoever the notice wakes reads the pass's final report.
-    if (processed != 0 && on_drained_ && session->queued() == 0) {
-      on_drained_(*session);
-    }
+    if (processed != 0 && on_progress_) on_progress_(*session);
   }
   if (!retired.empty()) {
     std::lock_guard<std::mutex> lock(mutex_);

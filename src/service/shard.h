@@ -51,14 +51,15 @@ class Shard {
     std::uint64_t idle_evict_steps = 0;  // 0 = never idle-evict
   };
 
-  /// `on_drained` runs on the stepping thread whenever a DrainStep()
-  /// leaves a session's queue empty.
+  /// `on_progress` runs on the stepping thread after every DrainStep()
+  /// that processed work, once the pass has decided the session's
+  /// eviction and retirement.
   Shard(unsigned index, Policy policy, const ServiceMetrics* metrics,
-        std::function<void(Session&)> on_drained = {})
+        std::function<void(Session&)> on_progress = {})
       : index_(index),
         policy_(policy),
         metrics_(metrics),
-        on_drained_(std::move(on_drained)) {}
+        on_progress_(std::move(on_progress)) {}
 
   Shard(const Shard&) = delete;
   Shard& operator=(const Shard&) = delete;
@@ -111,7 +112,7 @@ class Shard {
   const unsigned index_;
   const Policy policy_;
   const ServiceMetrics* metrics_;
-  const std::function<void(Session&)> on_drained_;
+  const std::function<void(Session&)> on_progress_;
 
   mutable std::mutex mutex_;  // guards sessions_ and stall_hook_
   std::vector<std::shared_ptr<Session>> sessions_;

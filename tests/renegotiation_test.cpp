@@ -8,8 +8,13 @@
 // decision log as an uninterrupted one).
 #include <gtest/gtest.h>
 
+#include <poll.h>
+
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -574,6 +579,141 @@ TEST(RenegotiationWireTest, SubmitStreamOffsetGuardRejectsStaleOffset) {
   ack = DecodeSubmitAck(frame->payload, hello.capabilities);
   EXPECT_EQ(ack.status, Status::kOk);
   EXPECT_EQ(ack.accepted, stream.size());
+  server.Stop();
+}
+
+TEST(RenegotiationWireTest, SubmitStreamWaitsForQueueRoomInsteadOfRejecting) {
+  // A pipelined frame that fits the session's queue but not its free
+  // space is held, not rejected: no ack and no later frame of the
+  // connection is processed until a shard has drained the queue, and
+  // then it is admitted at the offset it was sent with. A frame larger
+  // than the whole queue can never fit and is still rejected at once.
+  struct Gate {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool open = false;
+  };
+  auto gate = std::make_shared<Gate>();
+  Server server(LoopbackConfig());
+  EncodingService& service = server.service();
+  for (unsigned i = 0; i < service.shard_count(); ++i) {
+    service.shard(i).SetStallHook([gate]() {
+      std::unique_lock<std::mutex> lock(gate->mutex);
+      gate->cv.wait(lock, [&]() { return gate->open; });
+    });
+  }
+  server.Start();
+  RawConn conn(server.endpoint());
+  conn.Send(EncodeFrame(FrameType::kHello, EncodeHello(HelloRequest{})));
+  const HelloReply hello = DecodeHelloOk(conn.Read()->payload);
+  OpenRequest open;
+  open.codec = "t0";
+  open.queue_capacity = 16;
+  open.slowdown_watermark = 8;
+  conn.Send(EncodeFrame(FrameType::kOpen, EncodeOpen(open)));
+  const OpenReply opened = DecodeOpenOk(conn.Read()->payload);
+
+  const std::vector<BusAccess> stream = TestStream(24, 36);
+  std::vector<Word> addresses;
+  std::vector<std::uint8_t> sel;
+  for (const BusAccess& access : stream) {
+    addresses.push_back(access.address);
+    sel.push_back(access.sel ? 1 : 0);
+  }
+  const auto read_ack = [&]() {
+    const std::optional<Frame> frame = conn.Read();
+    EXPECT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->type, FrameType::kSubmitAck);
+    return DecodeSubmitAck(frame->payload, hello.capabilities);
+  };
+
+  // Larger than the whole queue: rejected whole, nothing admitted.
+  conn.Send(EncodeFrame(
+      FrameType::kSubmitStream,
+      EncodeSubmitStream(opened.session_id, 0, true, addresses.data(),
+                         sel.data(), 17)));
+  SubmitAck ack = read_ack();
+  EXPECT_EQ(ack.status, Status::kRejected);
+  EXPECT_EQ(ack.accepted, 0u);
+
+  // Three frames of 8 back to back; the shards are gated, so the third
+  // finds the queue full.
+  for (std::size_t k = 0; k < 3; ++k) {
+    conn.Send(EncodeFrame(
+        FrameType::kSubmitStream,
+        EncodeSubmitStream(opened.session_id, 8 * k, true,
+                           addresses.data() + 8 * k, sel.data() + 8 * k,
+                           8)));
+  }
+  ack = read_ack();
+  EXPECT_EQ(ack.status, Status::kOk);
+  EXPECT_EQ(ack.accepted, 8u);
+  ack = read_ack();
+  EXPECT_EQ(ack.status, Status::kSlowDown);
+  EXPECT_EQ(ack.accepted, 16u);
+  pollfd pending{conn.fd, POLLIN, 0};
+  EXPECT_TRUE(conn.buffer.empty() && ::poll(&pending, 1, 100) == 0)
+      << "the held frame was answered while nothing drained";
+
+  {
+    std::lock_guard<std::mutex> lock(gate->mutex);
+    gate->open = true;
+  }
+  gate->cv.notify_all();
+  ack = read_ack();
+  EXPECT_NE(ack.status, Status::kRejected);
+  EXPECT_EQ(ack.accepted, 24u);
+
+  conn.Send(EncodeFrame(FrameType::kDrainStats,
+                        EncodeDrainStats({opened.session_id, true})));
+  const std::optional<Frame> reply = conn.Read();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, FrameType::kStats);
+  const StatsReply stats = DecodeStats(reply->payload, hello.capabilities);
+  EXPECT_EQ(stats.accepted, 24u);
+  const EvalResult expected = EvaluateWithSchedule(
+      "t0", CodecOptions{}, stream, stats.renegotiations, {});
+  EXPECT_EQ(stats.stream_length, expected.stream_length);
+  EXPECT_EQ(stats.transitions, expected.transitions);
+  EXPECT_EQ(stats.per_line, expected.per_line);
+  server.Stop();
+}
+
+TEST(RenegotiationWireTest, StreamThroughATinyQueueNeedsNoRewind) {
+  // The client keeps a window of frames in flight against a queue that
+  // holds two of them; held frames pace it, so no frame is ever
+  // rejected and rewound.
+  Server server(LoopbackConfig());
+  server.Start();
+  Client client(OptionsFor(server));
+  const std::vector<BusAccess> stream = TestStream(4000, 37);
+  std::vector<Word> addresses;
+  std::vector<std::uint8_t> sel;
+  for (const BusAccess& access : stream) {
+    addresses.push_back(access.address);
+    sel.push_back(access.sel ? 1 : 0);
+  }
+  OpenRequest open;
+  open.codec = "bus-invert";
+  open.queue_capacity = 64;
+  open.slowdown_watermark = 32;
+  const OpenReply opened = client.Open(open);
+  StreamSubmitOptions submit;
+  submit.chunk = 32;
+  submit.window = 8;
+  const StreamSubmitResult result =
+      client.SubmitColumns(opened.session_id, addresses.data(), sel.data(),
+                           stream.size(), submit);
+  EXPECT_EQ(result.rejections, 0u);
+  EXPECT_EQ(result.accepted, stream.size());
+  const StatsReply stats =
+      client.DrainStats(opened.session_id, /*wait_drained=*/true);
+  EXPECT_LE(stats.peak_queue_depth, 64u);
+  const EvalResult expected = EvaluateWithSchedule(
+      "bus-invert", CodecOptions{}, stream, stats.renegotiations, {});
+  EXPECT_EQ(stats.stream_length, expected.stream_length);
+  EXPECT_EQ(stats.transitions, expected.transitions);
+  EXPECT_EQ(stats.per_line, expected.per_line);
   server.Stop();
 }
 

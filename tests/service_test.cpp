@@ -266,6 +266,51 @@ TEST(BackpressureTest, WindowStraddlingBatchAtTheWatermarkReconciles) {
   ExpectSameEvalResult(report.result, Evaluate(*reference, stream));
 }
 
+TEST(BackpressureTest, RoomWatchFiresOnceAtTheResumeDepth) {
+  // WatchRoom() is how a full queue is waited on without a timer: the
+  // notice comes from the drain step that brings the queue down to the
+  // slow-down watermark, or lower when the batch needs more room than
+  // the space above it.
+  ServiceConfig service_config = ManualMode();
+  service_config.drain_batch = 4;
+  EncodingService service(service_config);
+  SessionConfig config;
+  config.queue_capacity = 16;
+  config.slowdown_watermark = 8;
+  const std::uint64_t id = service.OpenSession(config);
+  int notices = 0;
+  service.SetQuiescenceHook([&]() { ++notices; });
+  const std::vector<BusAccess> stream =
+      TestStream(verify::StreamFamily::kSequentialRuns, 6, 64);
+  const std::span<const BusAccess> span(stream);
+
+  ASSERT_EQ(service.Submit(id, span.subspan(0, 16)), Admission::kSlowDown);
+  EXPECT_TRUE(service.WatchRoom(id, 17));  // can never fit: nothing armed
+  EXPECT_FALSE(service.WatchRoom(id, 4));
+  service.StepAll();  // depth 12: room for 4, but above the watermark
+  EXPECT_EQ(notices, 0);
+  service.StepAll();  // depth 8: the watermark
+  EXPECT_EQ(notices, 1);
+  EXPECT_TRUE(service.WatchRoom(id, 8));
+  ASSERT_EQ(service.Submit(id, span.subspan(16, 8)), Admission::kSlowDown);
+  service.StepAll();
+  service.StepAll();  // depth 8 again, but the watch was one-shot
+  EXPECT_EQ(notices, 1);
+
+  // 12 accesses fit only once the depth is down to 16 - 12 = 4.
+  EXPECT_FALSE(service.WatchRoom(id, 12));
+  service.StepAll();  // depth 4
+  EXPECT_EQ(notices, 2);
+  EXPECT_EQ(service.Submit(id, span.subspan(24, 12)), Admission::kSlowDown);
+
+  service.CloseSession(id);
+  EXPECT_TRUE(service.WatchRoom(id, 16));  // closed: admission decides
+  ASSERT_TRUE(service.Drain(std::chrono::milliseconds(5000)));
+  service.SetQuiescenceHook({});
+  EXPECT_EQ(service.Report(id).result.stream_length, 36u);
+  EXPECT_EQ(service.Report(id).rejected_batches, 0u);
+}
+
 TEST(EvictionTest, EvictAndReadmitReproducesEvaluateWithResets) {
   // The determinism contract: evicting at index k and re-admitting
   // mid-stream must make the lifetime accounting equal a serial
@@ -731,6 +776,32 @@ std::size_t LiveSessions(EncodingService& service) {
     n += service.shard(i).size();
   }
   return n;
+}
+
+TEST(DriveModelTest, NewSessionsFillTheLeastLoadedShard) {
+  // Retired sessions leave their shard, and a new session goes to the
+  // emptiest live shard — not to whichever one a round-robin cursor
+  // happens to point at, which could stack it behind a busy session.
+  EncodingService service(ManualMode(2));
+  const std::uint64_t a = service.OpenSession();
+  const std::uint64_t b = service.OpenSession();
+  const std::uint64_t c = service.OpenSession();
+  EXPECT_EQ(service.shard(0).size(), 2u);
+  EXPECT_EQ(service.shard(1).size(), 1u);
+  service.CloseSession(a);
+  service.CloseSession(c);
+  service.StepAll();  // both retire
+  EXPECT_EQ(service.shard(0).size(), 0u);
+  EXPECT_EQ(service.shard(1).size(), 1u);
+  service.OpenSession();  // the cursor points at shard 1, b's shard
+  EXPECT_EQ(service.shard(0).size(), 1u);
+  EXPECT_EQ(service.shard(1).size(), 1u);
+  // Equal loads fall back to round-robin.
+  service.OpenSession();
+  service.OpenSession();
+  EXPECT_EQ(service.shard(0).size(), 2u);
+  EXPECT_EQ(service.shard(1).size(), 2u);
+  EXPECT_TRUE(service.HasSession(b));
 }
 
 TEST(DriveModelTest, ParkedServiceDrainsASubmitWithNoTimerExpiring) {
