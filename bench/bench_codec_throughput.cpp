@@ -38,12 +38,12 @@ void EncodeThroughput(benchmark::State& state, const std::string& name) {
   state.SetItemsProcessed(state.iterations());
 }
 
-// The batched hot path: one virtual EncodeBlock dispatch per chunk of
+// The batched hot path: one virtual EncodeBatch dispatch per chunk of
 // kDefaultChunkSize words instead of one virtual Encode per word. The
 // items/s ratio of encode-block/<name> over encode/<name> is the
 // devirtualization win (the regression gate wants >= 3x for the
 // hand-specialized binary/gray/t0 kernels).
-void EncodeBlockThroughput(benchmark::State& state, const std::string& name) {
+void EncodeBatchThroughput(benchmark::State& state, const std::string& name) {
   CodecOptions options;
   auto codec = MakeCodec(name, options);
   const auto& stream = Stream();
@@ -53,8 +53,9 @@ void EncodeBlockThroughput(benchmark::State& state, const std::string& name) {
          offset += kDefaultChunkSize) {
       const std::size_t n =
           std::min(kDefaultChunkSize, stream.size() - offset);
-      codec->EncodeBlock(std::span(stream).subspan(offset, n),
-                         std::span(out).first(n));
+      codec->EncodeBatch(
+          AccessBatch::Rows(std::span(stream).subspan(offset, n)),
+          std::span(out).first(n));
       benchmark::DoNotOptimize(out.data());
     }
     benchmark::ClobberMemory();
@@ -87,7 +88,7 @@ int main(int argc, char** argv) {
                                  });
     benchmark::RegisterBenchmark(("encode-block/" + name).c_str(),
                                  [name](benchmark::State& s) {
-                                   EncodeBlockThroughput(s, name);
+                                   EncodeBatchThroughput(s, name);
                                  });
     benchmark::RegisterBenchmark(("roundtrip/" + name).c_str(),
                                  [name](benchmark::State& s) {

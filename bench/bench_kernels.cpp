@@ -13,7 +13,6 @@
 //                     it, so the bytes match across backends and hosts —
 //                     the ISA-matrix CI job diffs exactly this)
 //   --chunk-size N / --metrics <path>  as in every table bench
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +27,7 @@
 #include "core/experiment.h"
 #include "core/simd/kernel_dispatch.h"
 #include "core/stream_evaluator.h"
+#include "obs/metrics.h"
 #include "report/json_writer.h"
 #include "trace/mmap_trace.h"
 #include "trace/synthetic.h"
@@ -54,10 +54,9 @@ double TimedSeconds(const std::function<EvalResult()>& run,
                     const EvalResult& reference, const std::string& what) {
   double best = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
+    const double start = abenc::obs::MonotonicSeconds();
     const EvalResult result = run();
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
+    const double elapsed = abenc::obs::MonotonicSeconds() - start;
     if (!Identical(result, reference)) {
       std::fprintf(stderr,
                    "bench_kernels: %s diverges from the per-word "
@@ -65,7 +64,7 @@ double TimedSeconds(const std::function<EvalResult()>& run,
                    what.c_str());
       std::exit(1);
     }
-    if (rep == 0 || elapsed.count() < best) best = elapsed.count();
+    if (rep == 0 || elapsed < best) best = elapsed;
   }
   return best;
 }
@@ -117,11 +116,10 @@ int main(int argc, char** argv) {
     const EvalResult reference = abenc::Evaluate(
         *abenc::MakeCodec(codec_name, options), stream, options.stride);
 
-    const auto start = std::chrono::steady_clock::now();
+    const double start = abenc::obs::MonotonicSeconds();
     (void)abenc::Evaluate(*abenc::MakeCodec(codec_name, options), stream,
                           options.stride);
-    const std::chrono::duration<double> per_word_s =
-        std::chrono::steady_clock::now() - start;
+    const double per_word_s = abenc::obs::MonotonicSeconds() - start;
 
     double scalar_s = 0.0;
     double best_s = 0.0;
@@ -153,7 +151,7 @@ int main(int argc, char** argv) {
     const double speedup = scalar_s / best_s;
     log_speedup_sum += std::log(speedup);
     std::printf("%-12s %8.2fms", codec_name.c_str(),
-                per_word_s.count() * 1e3);
+                per_word_s * 1e3);
     for (const double seconds : backend_s) {
       std::printf(" %7.2fms", seconds * 1e3);
     }

@@ -20,7 +20,6 @@
 //
 // Flags: --json PATH (abenc.net_pipeline.v1 document), --metrics PATH.
 // Other bench_util flags are accepted and ignored.
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <iomanip>
@@ -34,6 +33,7 @@
 #include "core/stream_evaluator.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "report/json_writer.h"
 #include "trace/mmap_trace.h"
 #include "verify/stream_gen.h"
@@ -41,7 +41,6 @@
 namespace {
 
 using namespace abenc;
-using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kSessions = 12;
 constexpr std::size_t kLength = 6000;
@@ -49,10 +48,6 @@ constexpr std::uint64_t kSeed = 77;
 constexpr std::size_t kChunk = 256;
 
 const char* const kCodecs[] = {"t0", "bus-invert", "gray"};
-
-double Seconds(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
 
 /// Deterministic accounting of one mode across its sessions — the
 /// fields the baseline gate compares (timings never go in here).
@@ -115,12 +110,12 @@ int main(int argc, char** argv) {
 
   // Serial in-process baseline: what the same accounting costs with no
   // wire at all.
-  const auto serial_start = Clock::now();
+  const double serial_start = obs::MonotonicSeconds();
   for (std::size_t i = 0; i < kSessions; ++i) {
     CodecPtr codec = MakeCodec(codec_of[i]);
     (void)Evaluate(*codec, streams[i]);
   }
-  const double serial_s = Seconds(serial_start, Clock::now());
+  const double serial_s = obs::MonotonicSeconds() - serial_start;
 
   net::ServerConfig server_config;
   server_config.service.shards = 4;
@@ -148,7 +143,7 @@ int main(int argc, char** argv) {
     }
     ModeOutcome out;
     out.mode = "submit";
-    const auto start = Clock::now();
+    const double start = obs::MonotonicSeconds();
     for (std::size_t i = 0; i < kSessions; ++i) {
       const std::span<const BusAccess> span(streams[i]);
       for (std::size_t at = 0; at < span.size();) {
@@ -159,7 +154,7 @@ int main(int argc, char** argv) {
         at += n;
       }
     }
-    out.seconds = Seconds(start, Clock::now());
+    out.seconds = obs::MonotonicSeconds() - start;
     for (std::size_t i = 0; i < kSessions; ++i) {
       if (!VerifyAndFold(client, ids[i], codec_of[i], streams[i], out)) {
         return 1;
@@ -203,7 +198,7 @@ int main(int argc, char** argv) {
     sopt.chunk = kChunk;
     sopt.window = 8;
     sopt.ack_interval = 1;
-    const auto start = Clock::now();
+    const double start = obs::MonotonicSeconds();
     // Three phases so the per-session half-way drains overlap: submit
     // every first half, then drain + renegotiate each (the drains have
     // mostly completed in the background by then), then submit every
@@ -230,7 +225,7 @@ int main(int argc, char** argv) {
       (void)client.SubmitColumns(ids[i], addresses[i].data(), sel[i].data(),
                                  kLength, second);
     }
-    out.seconds = Seconds(start, Clock::now());
+    out.seconds = obs::MonotonicSeconds() - start;
     for (std::size_t i = 0; i < kSessions; ++i) {
       if (!VerifyAndFold(client, ids[i], codec_of[i], streams[i], out)) {
         return 1;
@@ -275,7 +270,7 @@ int main(int argc, char** argv) {
     }
     ModeOutcome out;
     out.mode = "mmap-stream";
-    const auto start = Clock::now();
+    const double start = obs::MonotonicSeconds();
     for (std::size_t i = 0; i < kSessions; ++i) {
       MmapTraceSource source(paths[i]);
       TraceColumns columns;
@@ -293,7 +288,7 @@ int main(int argc, char** argv) {
       (void)client.SubmitColumns(ids[i], columns.addresses, columns.sel,
                                  kLength, sopt);
     }
-    out.seconds = Seconds(start, Clock::now());
+    out.seconds = obs::MonotonicSeconds() - start;
     for (std::size_t i = 0; i < kSessions; ++i) {
       if (!VerifyAndFold(client, ids[i], codec_of[i], streams[i], out)) {
         return 1;

@@ -20,21 +20,17 @@
 #include "bench/bench_util.h"
 #include "core/codec_factory.h"
 #include "core/stream_evaluator.h"
+#include "obs/metrics.h"
 #include "service/service.h"
 #include "verify/stream_gen.h"
 
 namespace {
 
 using namespace abenc;
-using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kSessions = 192;
 constexpr std::size_t kLength = 3000;
 constexpr std::uint64_t kSeed = 2024;
-
-double Seconds(Clock::time_point from, Clock::time_point to) {
-  return std::chrono::duration<double>(to - from).count();
-}
 
 }  // namespace
 
@@ -56,16 +52,16 @@ int main(int argc, char** argv) {
   }
 
   // Serial baseline: Evaluate() per stream, one after another.
-  const auto serial_start = Clock::now();
+  const double serial_start = obs::MonotonicSeconds();
   std::vector<EvalResult> serial(kSessions);
   for (std::size_t i = 0; i < kSessions; ++i) {
     CodecPtr codec = MakeCodec(codec_of[i]);
     serial[i] = Evaluate(*codec, streams[i]);
   }
-  const double serial_s = Seconds(serial_start, Clock::now());
+  const double serial_s = obs::MonotonicSeconds() - serial_start;
 
   // The service: same streams through sessions, shards and channels.
-  const auto service_start = Clock::now();
+  const double service_start = obs::MonotonicSeconds();
   service::ServiceConfig service_config;
   service_config.shards = 4;
   service_config.parallelism = options.parallelism;
@@ -92,7 +88,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   service.Stop();
-  const double service_s = Seconds(service_start, Clock::now());
+  const double service_s = obs::MonotonicSeconds() - service_start;
 
   // Identity gate before any number is reported.
   for (std::size_t i = 0; i < kSessions; ++i) {

@@ -162,15 +162,12 @@ class AdaptiveCodec final : public Codec {
   Word Decode(const BusState& bus, bool sel) override;
   void Reset() override;
 
-  /// Batched paths: segments the block at window boundaries and
+  /// Batched path: segments the batch at window boundaries and
   /// delegates each in-window run to the active member's own
-  /// EncodeBlock/EncodeColumns (hence the member's SIMD kernels);
-  /// shadows advance through their batched paths too. Bit-identical to
-  /// per-word Encode by the members' own contract.
-  void EncodeBlock(std::span<const BusAccess> in,
-                   std::span<BusState> out) override;
-  void EncodeColumns(const Word* addresses, const std::uint8_t* sel,
-                     std::size_t n, std::span<BusState> out) override;
+  /// EncodeBatch (hence the member's SIMD kernels); shadows advance
+  /// through their batched paths too. Bit-identical to per-word Encode
+  /// by the members' own contract.
+  void EncodeBatch(const AccessBatch& in, std::span<BusState> out) override;
 
   /// The default palette: the paper's regime winners plus binary.
   static std::vector<std::string> DefaultPalette();
@@ -232,11 +229,9 @@ class AdaptiveCodec final : public Codec {
     AdaptiveWindowStats current;
     AdaptiveWindowStats completed;
     std::vector<AdaptiveDecision> decisions;
-    std::vector<BusState> scratch;  // shadow output in the block paths
+    std::vector<BusState> scratch;  // shadow output in the batched path
   };
 
-  BusState EncodeOne(Word address, bool sel);
-  Word DecodeOne(const BusState& bus, bool sel);
   bool AtBoundary(const End& e) const {
     return e.accesses != 0 && e.accesses % window_ == 0;
   }

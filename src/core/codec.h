@@ -1,13 +1,57 @@
 // Abstract interface implemented by every address-bus code in the library.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
 
+#include "core/simd/kernels.h"
 #include "core/types.h"
 
 namespace abenc {
+
+/// Zero-copy view of n consecutive stream accesses, either BusAccess
+/// rows or parallel address / SEL columns (the mmap trace reader,
+/// ColumnarTraceSource and wire SUBMIT shape; nonzero SEL = asserted).
+/// The viewed storage must outlive the view.
+class AccessBatch {
+ public:
+  AccessBatch() = default;
+  static AccessBatch Rows(std::span<const BusAccess> rows) {
+    if (rows.empty()) return {};
+    return {simd::ViewAddresses(rows.data()),
+            reinterpret_cast<const std::uint8_t*>(&rows[0].sel),
+            sizeof(BusAccess), rows.size()};
+  }
+  static AccessBatch Columns(const Word* addresses, const std::uint8_t* sel,
+                             std::size_t n) {
+    return {{addresses, 1}, sel, 1, n};
+  }
+
+  /// The address column as the SIMD kernels read it.
+  simd::AddressView addresses() const { return addr_; }
+  Word address(std::size_t i) const { return addr_[i]; }
+  bool sel(std::size_t i) const { return sel_[sel_step_ * i] != 0; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  /// Accesses [from, from + n).
+  AccessBatch Slice(std::size_t from, std::size_t n) const {
+    return {{addr_.addr + addr_.step * from, addr_.step},
+            sel_ + sel_step_ * from, sel_step_, n};
+  }
+
+ private:
+  AccessBatch(simd::AddressView addr, const std::uint8_t* sel,
+              std::size_t sel_step, std::size_t size)
+      : addr_(addr), sel_(sel), sel_step_(sel_step), size_(size) {}
+
+  simd::AddressView addr_;
+  const std::uint8_t* sel_ = nullptr;
+  std::size_t sel_step_ = 1;
+  std::size_t size_ = 0;
+};
 
 /// A bus code: a stateful mapping from the address stream b(t) to the bus
 /// stream B(t) (encode) and back (decode).
@@ -49,39 +93,25 @@ class Codec {
   /// Encode the next address of the stream. Addresses are masked to N bits.
   virtual BusState Encode(Word address, bool sel) = 0;
 
-  /// Encode a block of consecutive stream accesses into `out` — the
-  /// batched hot path of the stream evaluator. `out.size()` must be at
-  /// least `in.size()`; entries [0, in.size()) are written.
+  /// Encode a batch of consecutive stream accesses into `out` — the
+  /// batched hot path of the stream evaluator and the service.
+  /// `out.size()` must be at least `in.size()`; entries [0, in.size())
+  /// are written.
   ///
   /// Contract (the "bit-identity guarantee", enforced for every factory
   /// codec by the `batched-identity` verify property and
-  /// tests/stream_evaluator_test): EncodeBlock(in, out) produces
-  /// exactly the BusState sequence that `in.size()` successive Encode()
-  /// calls would, and leaves the encoder-side state identical, so any
-  /// chunking of a stream — including mixing EncodeBlock and Encode —
-  /// yields the same bus trajectory. The base implementation loops the
-  /// virtual Encode; the high-traffic codes (binary, Gray, offset, T0,
-  /// INC-XOR, bus-invert) override it with devirtualized kernels that
-  /// pay one virtual dispatch per block instead of per word.
-  virtual void EncodeBlock(std::span<const BusAccess> in,
-                           std::span<BusState> out) {
+  /// tests/stream_evaluator_test): EncodeBatch(in, out) produces exactly
+  /// the BusState sequence that `in.size()` successive Encode() calls
+  /// would, in either layout, and leaves the encoder-side state
+  /// identical, so any chunking of a stream — including mixing
+  /// EncodeBatch and Encode — yields the same bus trajectory. The base
+  /// implementation loops the virtual Encode; the high-traffic codes
+  /// (binary, Gray, offset, T0, INC-XOR, bus-invert) override it with
+  /// SIMD kernels that read `in.addresses()` in place and pay one
+  /// virtual dispatch per batch instead of per word.
+  virtual void EncodeBatch(const AccessBatch& in, std::span<BusState> out) {
     for (std::size_t i = 0; i < in.size(); ++i) {
-      out[i] = Encode(in[i].address, in[i].sel);
-    }
-  }
-
-  /// Encode a block presented as raw columns — the zero-copy trace path
-  /// of EvaluateBatched (see core/trace_source.h TraceColumns and
-  /// trace/mmap_trace.h). `addresses[i]` and `sel[i]` (nonzero = SEL
-  /// asserted / instruction slot) describe access i; `out` must hold at
-  /// least `n` entries. Same bit-identity contract as EncodeBlock. The
-  /// base implementation loops the virtual Encode; kernel-backed codecs
-  /// override it to feed the columnar buffers straight into the
-  /// dispatch kernels without materializing BusAccess records.
-  virtual void EncodeColumns(const Word* addresses, const std::uint8_t* sel,
-                             std::size_t n, std::span<BusState> out) {
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = Encode(addresses[i], sel[i] != 0);
+      out[i] = Encode(in.address(i), in.sel(i));
     }
   }
 

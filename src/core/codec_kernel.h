@@ -3,13 +3,12 @@
 //
 // The per-word path pays one virtual Encode plus one TransitionCounter
 // observation per access; the batched path produced here encodes a whole
-// chunk through Codec::EncodeBlock (one virtual dispatch per chunk, with
-// hand-specialized kernels for the high-traffic codes) and then counts
-// the chunk's transitions in a tight XOR+popcount sweep over contiguous
-// BusStates. Both paths are bit-identical by contract — see
-// EvaluateBatched (core/stream_evaluator.h), the `batched-identity`
-// universal verify property and docs/ARCHITECTURE.md "The batched hot
-// path".
+// chunk through Codec::EncodeBatch (one virtual dispatch per chunk, with
+// SIMD kernels for the high-traffic codes) and then counts the chunk's
+// transitions in a tight XOR+popcount sweep over contiguous BusStates.
+// Both paths are bit-identical by contract — see EvaluateBatched
+// (core/stream_evaluator.h), the `batched-identity` universal verify
+// property and docs/ARCHITECTURE.md "The batched hot path".
 #pragma once
 
 #include <cstddef>
@@ -45,6 +44,15 @@ class BlockTransitionAccumulator {
 
   /// Account one encoded chunk, in stream order.
   void Consume(std::span<const BusState> block);
+
+  /// Return to the power-on state: all lines low, nothing counted.
+  void Reset() {
+    prev_ = BusState{};
+    total_ = 0;
+    peak_ = 0;
+    cycles_ = 0;
+    per_line_.assign(per_line_.size(), 0);
+  }
 
   long long total() const { return total_; }
   int peak() const { return peak_; }

@@ -34,7 +34,7 @@ void RecordCellMetrics(obs::MetricsRegistry& registry,
 // Runs one codec over one stream, decode-verified, honouring the
 // engine's path selection: the batched chunked path by default, the
 // legacy per-word loop under RunOptions::per_word. Both are
-// bit-identical by the EncodeBlock contract.
+// bit-identical by the EncodeBatch contract.
 EvalResult EvaluateStream(Codec& codec, const NamedStream& stream,
                           const CodecOptions& options,
                           const RunOptions& run) {

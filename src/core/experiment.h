@@ -75,7 +75,7 @@ struct RunOptions {
 
   /// Chunk length of the batched evaluation path; `0` picks
   /// kDefaultChunkSize. Results are bit-identical at every chunk size
-  /// (the EncodeBlock contract), so this knob trades working-set size
+  /// (the EncodeBatch contract), so this knob trades working-set size
   /// against per-chunk overhead only.
   std::size_t chunk_size = 0;
 

@@ -51,28 +51,22 @@ double InSequencePercent(std::span<const BusAccess> stream, Word stride,
          static_cast<double>(stream.size() - 1);
 }
 
+void AddSegment(EvalResult& total, long long transitions, int peak,
+                std::span<const long long> per_line) {
+  total.transitions += transitions;
+  total.peak_transitions = std::max(total.peak_transitions, peak);
+  if (per_line.size() > total.per_line.size()) {
+    total.per_line.resize(per_line.size(), 0);
+  }
+  for (std::size_t line = 0; line < per_line.size(); ++line) {
+    total.per_line[line] += per_line[line];
+  }
+}
+
 EvalResult Evaluate(Codec& codec, std::span<const BusAccess> stream,
                     Word stride_for_stats, bool verify_decode) {
-  codec.Reset();
-  TransitionCounter counter(codec.width(), codec.redundant_lines());
-  for (const BusAccess& access : stream) {
-    const BusState state = codec.Encode(access.address, access.sel);
-    counter.Observe(state);
-    if (verify_decode) {
-      const Word decoded = codec.Decode(state, access.sel);
-      const Word expected = access.address & LowMask(codec.width());
-      if (decoded != expected) ThrowDecodeMismatch(codec, decoded, expected);
-    }
-  }
-  EvalResult result;
-  result.codec_name = codec.name();
-  result.stream_length = stream.size();
-  result.transitions = counter.total();
-  result.peak_transitions = counter.peak();
-  result.in_sequence_percent =
-      InSequencePercent(stream, stride_for_stats, codec.width());
-  result.per_line = counter.per_line();
-  return result;
+  return EvaluateWithResets(codec, stream, {}, stride_for_stats,
+                            verify_decode);
 }
 
 EvalResult EvaluateWithResets(Codec& codec, std::span<const BusAccess> stream,
@@ -83,15 +77,8 @@ EvalResult EvaluateWithResets(Codec& codec, std::span<const BusAccess> stream,
   EvalResult result;
   result.codec_name = codec.name();
   result.stream_length = stream.size();
-  result.per_line.assign(codec.width() + codec.redundant_lines(), 0);
-
   auto fold_segment = [&]() {
-    result.transitions += counter.total();
-    result.peak_transitions =
-        std::max(result.peak_transitions, counter.peak());
-    for (std::size_t line = 0; line < result.per_line.size(); ++line) {
-      result.per_line[line] += counter.per_line()[line];
-    }
+    AddSegment(result, counter.total(), counter.peak(), counter.per_line());
   };
 
   std::size_t next_reset = 0;
@@ -152,15 +139,8 @@ EvalResult EvaluateWithSchedule(const std::string& initial_codec,
     const EvalResult segment =
         EvaluateWithResets(*codec, stream.subspan(start, end - start), local,
                            stride_for_stats, verify_decode);
-    result.transitions += segment.transitions;
-    result.peak_transitions =
-        std::max(result.peak_transitions, segment.peak_transitions);
-    if (segment.per_line.size() > result.per_line.size()) {
-      result.per_line.resize(segment.per_line.size(), 0);
-    }
-    for (std::size_t line = 0; line < segment.per_line.size(); ++line) {
-      result.per_line[line] += segment.per_line[line];
-    }
+    AddSegment(result, segment.transitions, segment.peak_transitions,
+               segment.per_line);
     if (last) break;
     active = switches[next_switch].codec_name;
     start = end;
@@ -204,39 +184,30 @@ EvalResult EvaluateBatched(Codec& codec, const TraceSource& source,
   while (offset < length) {
     // Zero-copy fast path: columnar sources (the mmap trace reader,
     // ColumnarTraceSource) expose their storage directly and the chunk
-    // flows through EncodeColumns without materializing BusAccess
-    // records; everything else is copied out via Read(). Both paths are
-    // bit-identical by the EncodeColumns contract.
+    // is viewed as columns; everything else is copied out via Read()
+    // and viewed as rows. Both layouts are bit-identical by the
+    // EncodeBatch contract.
     TraceColumns columns;
     std::size_t n = source.ViewColumns(offset, chunk, &columns);
-    const BusAccess* accesses = nullptr;
-    if (n == 0) {
+    AccessBatch batch;
+    if (n != 0) {
+      batch = AccessBatch::Columns(columns.addresses, columns.sel, n);
+      ++columnar_chunks;
+    } else {
       if (in.empty()) in.resize(chunk);
       n = source.Read(offset, in);
       if (n == 0) break;  // a short source; size() was an overestimate
-      accesses = in.data();
-    } else {
-      ++columnar_chunks;
+      batch = AccessBatch::Rows(std::span<const BusAccess>(in.data(), n));
     }
     const std::span<BusState> states(out.data(), n);
-    if (accesses != nullptr) {
-      codec.EncodeBlock(std::span<const BusAccess>(accesses, n), states);
-      kernels.in_seq(simd::ViewAddresses(accesses), n, mask,
-                     stride_for_stats, &prev_address, &has_prev, &in_seq);
-    } else {
-      codec.EncodeColumns(columns.addresses, columns.sel, n, states);
-      kernels.in_seq(simd::AddressView{columns.addresses, 1}, n, mask,
-                     stride_for_stats, &prev_address, &has_prev, &in_seq);
-    }
+    codec.EncodeBatch(batch, states);
+    kernels.in_seq(batch.addresses(), n, mask, stride_for_stats,
+                   &prev_address, &has_prev, &in_seq);
     accumulator.Consume(states);
     if (verify_decode) {
       for (std::size_t i = 0; i < n; ++i) {
-        const bool sel =
-            accesses != nullptr ? accesses[i].sel : columns.sel[i] != 0;
-        const Word address =
-            accesses != nullptr ? accesses[i].address : columns.addresses[i];
-        const Word decoded = codec.Decode(states[i], sel);
-        const Word expected = address & mask;
+        const Word decoded = codec.Decode(states[i], batch.sel(i));
+        const Word expected = batch.address(i) & mask;
         if (decoded != expected) {
           ThrowDecodeMismatch(codec, decoded, expected);
         }

@@ -51,7 +51,8 @@ double SavingsPercent(long long transitions, long long binary_transitions);
 double InSequencePercent(std::span<const BusAccess> stream, Word stride,
                          unsigned width);
 
-/// Run `codec` over `stream` from reset and collect metrics.
+/// Run `codec` over `stream` from reset and collect metrics: the
+/// per-word reference oracle, EvaluateWithResets() with no reset points.
 /// If `verify_decode` is set, every encoded state is also pushed through
 /// the codec's decoder and checked against the original address; a
 /// mismatch throws std::logic_error (used by the test-suite and as a
@@ -60,10 +61,10 @@ EvalResult Evaluate(Codec& codec, std::span<const BusAccess> stream,
                     Word stride_for_stats = 4, bool verify_decode = false);
 
 /// The batched hot path: run `codec` over the stream in fixed-size
-/// chunks — Codec::EncodeBlock per chunk (one virtual dispatch per
-/// chunk; the high-traffic codes install devirtualized kernels), then a
-/// word-parallel XOR+popcount transition sweep over the encoded block
-/// (core/codec_kernel.h).
+/// chunks — one Codec::EncodeBatch per chunk (one virtual dispatch per
+/// chunk; the high-traffic codes install SIMD kernels), then the
+/// in-sequence kernel and a word-parallel XOR+popcount transition
+/// sweep over the encoded block (core/codec_kernel.h).
 ///
 /// Bit-identity guarantee: for every chunk size the returned EvalResult
 /// is *identical* to Evaluate() on the same stream — transitions, peak,
@@ -87,6 +88,13 @@ EvalResult EvaluateBatched(Codec& codec, std::span<const BusAccess> stream,
                            Word stride_for_stats = 4,
                            bool verify_decode = false,
                            std::size_t chunk_size = 0);
+
+/// Fold one accounting segment into `total`: transitions sum, peaks max
+/// and per-line histograms sum element-wise, zero-extended to the widest
+/// segment geometry. The one fold rule of the serial references below
+/// and of the encoding service's session accounting.
+void AddSegment(EvalResult& total, long long transitions, int peak,
+                std::span<const long long> per_line);
 
 /// Serial reference for accounting across codec-state teardowns: exactly
 /// Evaluate(), except the codec and the power-on transition baseline are

@@ -23,7 +23,8 @@ namespace abenc {
 /// Raw columnar view of a chunk of accesses: parallel arrays of
 /// addresses and SEL flags (nonzero = instruction slot / SEL asserted).
 /// This is the zero-copy handoff between columnar sources (the mmap
-/// trace reader, ColumnarTraceSource) and Codec::EncodeColumns.
+/// trace reader, ColumnarTraceSource) and a columns AccessBatch
+/// (core/codec.h).
 struct TraceColumns {
   const Word* addresses = nullptr;
   const std::uint8_t* sel = nullptr;
@@ -88,7 +89,7 @@ class SpanTraceSource final : public TraceSource {
 
 /// Owning columnar TraceSource: the in-memory twin of the mmap-backed
 /// packed-trace reader (trace/mmap_trace.h). Tests and verify
-/// properties use it to drive the zero-copy EncodeColumns path without
+/// properties use it to drive the zero-copy columnar path without
 /// touching disk.
 class ColumnarTraceSource final : public TraceSource {
  public:

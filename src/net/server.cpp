@@ -104,12 +104,14 @@ class Server::Loop {
     service_.SetQuiescenceHook({});
     for (auto& [fd, conn] : conns_) CloseFd(conn.fd);
     CloseFd(listen_fd_);
+    CloseFd(reserve_fd_);
     if (bound_.is_unix) ::unlink(bound_.path.c_str());
   }
 
   void Bind() {
     bound_ = ParseEndpoint(config_.endpoint);
     listen_fd_ = ListenOn(bound_);
+    reserve_fd_ = OpenReserveFd();
     // Deferred DRAIN_STATS replies: a shard that drains a watched
     // session wakes poll() at once (see HandleDrainStats).
     service_.SetQuiescenceHook([wake = &wake_]() { wake->Signal(); });
@@ -193,7 +195,10 @@ class Server::Loop {
   void AcceptPending() {
     for (;;) {
       const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) return;  // EAGAIN or transient failure: next poll
+      if (fd < 0) {
+        if ((errno == EMFILE || errno == ENFILE) && ShedOne()) continue;
+        return;  // EAGAIN or transient failure: next poll
+      }
       SetNonBlocking(fd);
       SetNoDelay(fd);
       Conn conn;
@@ -203,6 +208,23 @@ class Server::Loop {
       conns_.emplace(fd, std::move(conn));
       connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     }
+  }
+
+  /// Out of descriptors, a pending connection would stay in the backlog
+  /// and keep the listen fd readable, so poll() would spin. Spend the
+  /// reserve descriptor to accept it and close it at once — the client
+  /// sees EOF — then take the reserve again.
+  bool ShedOne() {
+    if (reserve_fd_ < 0) return false;
+    CloseFd(reserve_fd_);
+    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    CloseFd(fd);
+    reserve_fd_ = OpenReserveFd();
+    return fd >= 0;
+  }
+
+  static int OpenReserveFd() {
+    return ::open("/dev/null", O_RDONLY | O_CLOEXEC);
   }
 
   /// Pull bytes and dispatch complete frames. Returns false when the
@@ -709,6 +731,7 @@ class Server::Loop {
   service::EncodingService& service_;
   Endpoint bound_;
   int listen_fd_ = -1;
+  int reserve_fd_ = -1;  // held back for shedding under fd exhaustion
   WakePipe wake_;
   std::atomic<bool> stop_{false};
 

@@ -7,6 +7,8 @@
 #include <thread>
 #include <utility>
 
+#include "core/simd/kernel_dispatch.h"
+
 namespace abenc::service {
 
 std::string AdmissionName(Admission admission) {
@@ -85,11 +87,17 @@ Session::Session(std::uint64_t id, SessionConfig config,
       stats_tracker_(config_.codec_options.width, config_.stride_for_stats,
                      config_.stats_window) {
   active_codec_name_ = config_.codec_name;
-  acc_codec_ = MakeCodec(config_.codec_name, config_.codec_options);
+  BuildFsms();
+}
+
+void Session::BuildFsms() {
+  acc_codec_ = MakeCodec(active_codec_name_, config_.codec_options);
+  // The line geometry may differ from the previous segment's; the
+  // lifetime histogram keeps the widest.
   counter_.emplace(acc_codec_->width(), acc_codec_->redundant_lines());
+  const std::size_t lines = counter_->per_line().size();
+  if (folded_.per_line.size() < lines) folded_.per_line.resize(lines, 0);
   folded_.codec_name = acc_codec_->name();
-  folded_.per_line.assign(
-      acc_codec_->width() + acc_codec_->redundant_lines(), 0);
   BuildTransport();
 }
 
@@ -205,8 +213,8 @@ std::size_t Session::DrainStep(std::size_t max_accesses) {
   std::size_t left = n;
   for (ColumnBatch& batch : drained_) {
     const std::size_t take = std::min(left, batch.remaining());
-    ProcessColumns(batch.addresses.data() + batch.offset,
-                   batch.sel.data() + batch.offset, take);
+    ProcessBatch(AccessBatch::Columns(batch.addresses.data() + batch.offset,
+                                      batch.sel.data() + batch.offset, take));
     batch.offset += take;
     left -= take;
   }
@@ -254,11 +262,10 @@ bool Session::TakeRoomWatch() {
          room_ready_.exchange(false);
 }
 
-void Session::ProcessColumns(const Word* addresses, const std::uint8_t* sel,
-                             std::size_t count) {
+void Session::ProcessBatch(const AccessBatch& batch) {
   std::size_t i = 0;
-  while (i < count) {
-    std::size_t run = count - i;
+  while (i < batch.size()) {
+    std::size_t run = batch.size() - i;
     if (pending_switch_) {
       const std::uint64_t processed =
           processed_.load(std::memory_order_relaxed);
@@ -271,7 +278,7 @@ void Session::ProcessColumns(const Word* addresses, const std::uint8_t* sel,
             run, static_cast<std::size_t>(pending_switch_->index - processed));
       }
     }
-    ProcessRun(addresses + i, sel + i, run);
+    ProcessRun(batch.Slice(i, run));
     i += run;
   }
   // A switch pinned exactly to the end of the processed prefix applies
@@ -285,28 +292,25 @@ void Session::ProcessColumns(const Word* addresses, const std::uint8_t* sel,
   }
 }
 
-void Session::ProcessRun(const Word* addresses, const std::uint8_t* sel,
-                         std::size_t count) {
-  // Accounting: the transmitter-side FSM through its columnar batched
-  // path (SIMD kernels), bit-identical to per-word Encode by the
+void Session::ProcessRun(const AccessBatch& batch) {
+  // Accounting: the transmitter-side FSM through its batched path, then
+  // the transition sweep and in-sequence kernels — the evaluator's own
+  // pieces, bit-identical to per-word Encode + TransitionCounter by the
   // batched-identity property.
+  const std::size_t count = batch.size();
   states_.resize(count);
-  acc_codec_->EncodeColumns(addresses, sel, count,
-                            std::span<BusState>(states_.data(), count));
+  const std::span<BusState> states(states_.data(), count);
+  acc_codec_->EncodeBatch(batch, states);
+  counter_->Consume(states);
+  simd::ActiveKernels().in_seq(batch.addresses(), count, mask_,
+                               config_.stride_for_stats, &prev_address_,
+                               &has_prev_, &in_seq_);
   for (std::size_t k = 0; k < count; ++k) {
-    counter_->Observe(states_[k]);
-    if (has_prev_ &&
-        (addresses[k] & mask_) ==
-            ((prev_address_ + config_.stride_for_stats) & mask_)) {
-      ++in_seq_;
-    }
-    prev_address_ = addresses[k];
-    has_prev_ = true;
-    stats_tracker_.Observe(addresses[k], sel[k] != 0);
+    stats_tracker_.Observe(batch.address(k), batch.sel(k));
   }
   processed_.fetch_add(count, std::memory_order_relaxed);
   for (std::size_t k = 0; k < count; ++k) {
-    TransferOne(addresses[k], sel[k] != 0);
+    TransferOne(batch.address(k), batch.sel(k));
   }
 }
 
@@ -405,12 +409,7 @@ void Session::Readmit() {
   // drain_mutex_ held. A fresh FSM encodes exactly like a Reset() one
   // (the reset-replay property), so accounting from here on is the next
   // EvaluateWithResets() segment.
-  acc_codec_ = MakeCodec(active_codec_name_, config_.codec_options);
-  // A renegotiation while evicted may have changed the line geometry, so
-  // rebuild the counter rather than Reset() it.
-  counter_.emplace(acc_codec_->width(), acc_codec_->redundant_lines());
-  folded_.codec_name = acc_codec_->name();
-  BuildTransport();
+  BuildFsms();
   {
     std::lock_guard<std::mutex> queue(queue_mutex_);
     state_ = SessionState::kActive;
@@ -420,19 +419,8 @@ void Session::Readmit() {
 }
 
 void Session::FoldSegment() {
-  folded_.transitions += counter_->total();
-  folded_.peak_transitions =
-      std::max(folded_.peak_transitions, counter_->peak());
-  const std::vector<long long>& segment = counter_->per_line();
-  // Renegotiation can change the line geometry between segments; the
-  // lifetime histogram zero-extends to the widest one, exactly like
-  // EvaluateWithSchedule's fold.
-  if (segment.size() > folded_.per_line.size()) {
-    folded_.per_line.resize(segment.size(), 0);
-  }
-  for (std::size_t line = 0; line < segment.size(); ++line) {
-    folded_.per_line[line] += segment[line];
-  }
+  AddSegment(folded_, counter_->total(), counter_->peak(),
+             counter_->per_line());
   counter_->Reset();
 }
 
@@ -493,13 +481,7 @@ void Session::ApplySwitchLocked(const std::string& codec_name) {
     FoldSegment();
     reset_points_.push_back(static_cast<std::size_t>(index));
     active_codec_name_ = codec_name;
-    acc_codec_ = MakeCodec(codec_name, config_.codec_options);
-    counter_.emplace(acc_codec_->width(), acc_codec_->redundant_lines());
-    const std::size_t lines =
-        acc_codec_->width() + acc_codec_->redundant_lines();
-    if (folded_.per_line.size() < lines) folded_.per_line.resize(lines, 0);
-    folded_.codec_name = acc_codec_->name();
-    BuildTransport();
+    BuildFsms();
   } else {
     // Evicted: the FSMs are torn down and the eviction already logged
     // this index as a reset point — Readmit builds the new codec.
@@ -552,16 +534,8 @@ void Session::ReportInto(SessionReport& report) const {
   EvalResult& result = report.result;
   result = folded_;
   if (counter_) {
-    result.transitions += counter_->total();
-    result.peak_transitions =
-        std::max(result.peak_transitions, counter_->peak());
-    const std::vector<long long>& segment = counter_->per_line();
-    if (segment.size() > result.per_line.size()) {
-      result.per_line.resize(segment.size(), 0);
-    }
-    for (std::size_t line = 0; line < segment.size(); ++line) {
-      result.per_line[line] += segment[line];
-    }
+    AddSegment(result, counter_->total(), counter_->peak(),
+               counter_->per_line());
   }
   const std::uint64_t processed =
       processed_.load(std::memory_order_relaxed);

@@ -74,8 +74,8 @@
 #include "channel/bus_channel.h"
 #include "core/adaptive_codec.h"
 #include "core/codec_factory.h"
+#include "core/codec_kernel.h"
 #include "core/stream_evaluator.h"
-#include "core/transition_counter.h"
 #include "obs/metrics.h"
 
 namespace abenc::service {
@@ -103,7 +103,7 @@ std::string SessionStateName(SessionState state);
 /// shape (all addresses, then all SEL bytes). The queue holds these
 /// whole, and DrainStep moves them out and back (offset tracks the
 /// drained prefix of a partially processed batch), so a batch decoded
-/// straight off the wire reaches EncodeColumns without ever being
+/// straight off the wire reaches EncodeBatch without ever being
 /// rewritten as BusAccess rows.
 struct ColumnBatch {
   std::vector<Word> addresses;
@@ -392,17 +392,18 @@ class Session {
   void BuildTransport();  // channel + fault models (drain_mutex_ held)
   void Readmit();         // fresh FSMs after eviction (drain_mutex_ held)
   void FoldSegment();     // live counter -> folded_ (drain_mutex_ held)
+  // Accounting FSM, counter and transport for active_codec_name_
+  // (drain_mutex_ held).
+  void BuildFsms();
   // Queue depth at or below which an armed room watch for a batch of
   // `size` accesses fires (see WatchRoom()).
   std::size_t RoomResumeDepth(std::size_t size) const;
-  // Process `count` accesses, splitting runs at a pending codec switch
+  // Process a batch, splitting runs at a pending codec switch
   // (drain_mutex_ held).
-  void ProcessColumns(const Word* addresses, const std::uint8_t* sel,
-                      std::size_t count);
-  // One switch-free run: batched accounting via EncodeColumns, then the
+  void ProcessBatch(const AccessBatch& batch);
+  // One switch-free run: batched accounting via EncodeBatch, then the
   // per-access transport ladder.
-  void ProcessRun(const Word* addresses, const std::uint8_t* sel,
-                  std::size_t count);
+  void ProcessRun(const AccessBatch& batch);
   // Deliver one access over the channel and walk the recovery ladder.
   void TransferOne(Word address, bool sel);
   // Apply a codec switch at the current processed index: fold the
@@ -432,11 +433,12 @@ class Session {
   mutable std::mutex drain_mutex_;
   CodecPtr acc_codec_;  // transmitter-side accounting FSM (ground truth)
   std::unique_ptr<BusChannel> channel_;
-  std::optional<TransitionCounter> counter_;  // live segment
-  EvalResult folded_;                         // previous segments, summed
-  std::vector<ColumnBatch> drained_;          // popped batches (moved, not copied)
-  std::vector<BusState> states_;              // EncodeColumns output scratch
-  std::string active_codec_name_;             // factory name, post-switches
+  // The live segment's accounting; folded_ sums the previous segments.
+  std::optional<BlockTransitionAccumulator> counter_;
+  EvalResult folded_;
+  std::vector<ColumnBatch> drained_;  // popped batches (moved, not copied)
+  std::vector<BusState> states_;      // EncodeBatch output scratch
+  std::string active_codec_name_;     // factory name, post-switches
   std::optional<CodecSwitchPoint> pending_switch_;
   std::vector<CodecSwitchPoint> renegotiations_;  // applied switches
   AdaptiveStatsTracker stats_tracker_;
@@ -447,7 +449,7 @@ class Session {
   bool degraded_ = false;       // ladder rung 3 taken on current FSMs
   bool ever_degraded_ = false;  // sticky, for the report
   std::uint64_t readmissions_ = 0;
-  std::uint64_t in_seq_ = 0;  // stream statistic; survives eviction
+  std::size_t in_seq_ = 0;  // stream statistic; survives eviction
   Word prev_address_ = 0;
   bool has_prev_ = false;
 

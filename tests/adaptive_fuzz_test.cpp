@@ -4,7 +4,8 @@
 // instances in lockstep against an independent reimplementation of the
 // whole protocol — per-window member-codec oracles for the wire,
 // shadow-counter oracles for the decisions — plus a randomly chunked
-// EncodeBlock pass that must be bit-identical to the scalar wire.
+// EncodeBatch pass over alternating rows and columns views that must be
+// bit-identical to the scalar wire.
 //
 // Deterministic and seed-replayable: a failure prints the exact
 // environment-variable reproducer for its iteration and the
@@ -13,6 +14,7 @@
 // ABENC_FUZZ_SEED replays one iteration.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -264,24 +266,33 @@ void RunIteration(std::uint64_t iteration) {
         << context;
   }
 
-  // Randomly chunked EncodeBlock must reproduce the scalar wire bit for
-  // bit — window boundaries land at every alignment inside chunks.
+  // Randomly chunked EncodeBatch must reproduce the scalar wire bit for
+  // bit — window boundaries land at every alignment inside chunks, and
+  // the chunks alternate between the rows and the columns layout.
+  std::vector<Word> addresses;
+  std::vector<std::uint8_t> sel;
+  for (const BusAccess& access : c.stream) {
+    addresses.push_back(access.address);
+    sel.push_back(access.sel ? 1 : 0);
+  }
+  const AccessBatch rows = AccessBatch::Rows(c.stream);
+  const AccessBatch columns =
+      AccessBatch::Columns(addresses.data(), sel.data(), addresses.size());
   Chain chunk_chain(MixSeed(c.seed ^ 0xB10C));
   const CodecPtr chunked = MakeCodec("adaptive", options);
   std::vector<BusState> block_out(c.stream.size());
   std::size_t pos = 0;
-  while (pos < c.stream.size()) {
+  for (bool use_rows = true; pos < c.stream.size(); use_rows = !use_rows) {
     const std::size_t remaining = c.stream.size() - pos;
     const std::size_t len =
         1 + chunk_chain.Below(std::min<std::size_t>(37, remaining));
-    chunked->EncodeBlock(
-        std::span<const BusAccess>(c.stream.data() + pos, len),
-        std::span<BusState>(block_out.data() + pos, len));
+    chunked->EncodeBatch((use_rows ? rows : columns).Slice(pos, len),
+                         std::span<BusState>(block_out.data() + pos, len));
     pos += len;
   }
   for (std::size_t t = 0; t < c.stream.size(); ++t) {
     ASSERT_EQ(block_out[t], wire[t])
-        << "chunked EncodeBlock diverged at access " << t << "\n"
+        << "chunked EncodeBatch diverged at access " << t << "\n"
         << context;
   }
 }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <random>
 #include <set>
 #include <span>
 #include <string>
@@ -117,17 +118,33 @@ TEST(FactoryCoverageTest, EveryFactoryCodecRunsTheBatchedPaths) {
 
     const CodecPtr blocked = MakeCodec(name);
     std::vector<BusState> block_out(stream.size());
-    blocked->EncodeBlock(std::span<const BusAccess>(stream),
+    blocked->EncodeBatch(AccessBatch::Rows(stream),
                          std::span<BusState>(block_out));
     EXPECT_EQ(block_out, expected)
-        << name << ": EncodeBlock diverged from scalar Encode";
+        << name << ": rows EncodeBatch diverged from scalar Encode";
 
+    const AccessBatch columns =
+        AccessBatch::Columns(addresses.data(), sel.data(), stream.size());
     const CodecPtr columnar = MakeCodec(name);
     std::vector<BusState> column_out(stream.size());
-    columnar->EncodeColumns(addresses.data(), sel.data(), stream.size(),
-                            std::span<BusState>(column_out));
+    columnar->EncodeBatch(columns, std::span<BusState>(column_out));
     EXPECT_EQ(column_out, expected)
-        << name << ": EncodeColumns diverged from scalar Encode";
+        << name << ": columns EncodeBatch diverged from scalar Encode";
+
+    // The same columns fed as randomly sized Slice()s, so batch
+    // boundaries land mid-stream and every slice offset is exercised.
+    const CodecPtr sliced = MakeCodec(name);
+    std::vector<BusState> slice_out(stream.size());
+    std::mt19937 rng(2024);
+    for (std::size_t pos = 0; pos < stream.size();) {
+      const std::size_t len = std::min<std::size_t>(
+          1 + rng() % 7, stream.size() - pos);
+      sliced->EncodeBatch(columns.Slice(pos, len),
+                          std::span<BusState>(slice_out).subspan(pos, len));
+      pos += len;
+    }
+    EXPECT_EQ(slice_out, expected)
+        << name << ": sliced columns EncodeBatch diverged from scalar Encode";
 
     // And the wire still decodes: the batched paths must leave the
     // encoder in the same state a scalar decoder expects.

@@ -6,9 +6,17 @@
 // malformed-input catalogue.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
+#include <ctime>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -973,6 +981,98 @@ TEST(NetServerTest, ReadTimeoutDropsIdleConnection) {
   // The server must drop us; the client observes an orderly close.
   EXPECT_THROW(idle.ReadFrame(), NetError);
   EXPECT_GE(server.stats().timeouts, 1u);
+  server.Stop();
+}
+
+/// Lowers the soft RLIMIT_NOFILE for one scope and restores it on exit,
+/// also when an assertion returns early.
+class ScopedFdLimit {
+ public:
+  explicit ScopedFdLimit(rlim_t soft) {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = soft;
+    ok_ = ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+  }
+  ~ScopedFdLimit() { Restore(); }
+  ScopedFdLimit(const ScopedFdLimit&) = delete;
+  ScopedFdLimit& operator=(const ScopedFdLimit&) = delete;
+
+  bool ok() const { return ok_; }
+  void Restore() {
+    if (ok_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+    ok_ = false;
+  }
+
+ private:
+  rlimit saved_{};
+  bool ok_ = false;
+};
+
+double ProcessCpuSeconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+TEST(NetServerTest, FdExhaustionShedsConnectionsInsteadOfSpinning) {
+  Server server(LoopbackConfig());
+  server.Start();
+  const Endpoint endpoint = ParseEndpoint(server.endpoint());
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(endpoint.port);
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+
+  // Client sockets exist before the limit drops, so connecting them
+  // needs no new descriptor on this side — only the server's accept()
+  // does.
+  constexpr int kClients = 3;
+  std::vector<int> clients;
+  for (int i = 0; i < kClients; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
+    const timeval timeout{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    clients.push_back(fd);
+  }
+  struct CloseAll {
+    std::vector<int>& fds;
+    ~CloseAll() {
+      for (const int fd : fds) CloseFd(fd);
+    }
+  } close_all{clients};
+
+  // The lowest free descriptor number becomes the limit: no new fd can
+  // be allocated until one below it is closed.
+  const int probe = ::dup(clients[0]);
+  ASSERT_GE(probe, 0);
+  ::close(probe);
+  ScopedFdLimit limit(static_cast<rlim_t>(probe));
+  ASSERT_TRUE(limit.ok());
+
+  for (const int fd : clients) {
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0)
+        << std::strerror(errno);
+  }
+  // Each over-limit connection is accepted and closed at once: the
+  // client sees EOF rather than a connection parked in the backlog.
+  for (const int fd : clients) {
+    std::uint8_t byte = 0;
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << std::strerror(errno);
+  }
+  // And the loop goes quiet: an idle window costs a few poll ticks of
+  // CPU, not a core spinning on a readable listen socket.
+  constexpr double kWindowS = 0.3;
+  const double cpu_before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu_used = ProcessCpuSeconds() - cpu_before;
+  EXPECT_LT(cpu_used, kWindowS / 4) << "server loop spun on fd exhaustion";
+
+  limit.Restore();
   server.Stop();
 }
 

@@ -1,10 +1,11 @@
 // Batched/per-word bit-identity tests: EvaluateBatched() must reproduce
 // Evaluate()'s EvalResult exactly for every factory codec at every chunk
 // geometry, including the degenerate streams. This is the test-suite
-// half of the EncodeBlock contract (the verify suite's batched-identity
+// half of the EncodeBatch contract (the verify suite's batched-identity
 // property is the fuzzable half).
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -161,6 +162,50 @@ TEST(EvaluateBatchedTest, VerifyDecodeCatchesBrokenCodecOnBatchedPath) {
   const std::vector<BusAccess> stream = {{1, true}, {2, true}};
   EXPECT_THROW(EvaluateBatched(codec, stream, 4, true), std::logic_error);
   EXPECT_NO_THROW(EvaluateBatched(codec, stream, 4, false));
+}
+
+TEST(BlockTransitionAccumulatorTest, ResetReturnsToPowerOn) {
+  // A T0 wire, so both the data lines and the INC line toggle; the
+  // segment after the reset starts from a nonzero state that must be
+  // charged against all-lines-low again.
+  const std::vector<BusAccess> stream = MixedStream(300);
+  const CodecPtr codec = MakeCodec("t0");
+  std::vector<BusState> states;
+  for (const BusAccess& access : stream) {
+    states.push_back(codec->Encode(access.address, access.sel));
+  }
+  const std::span<const BusState> before(states.data(), 100);
+  const std::span<const BusState> after(states.data() + 100, 200);
+  ASSERT_NE(after[0].lines, 0u);
+
+  const unsigned width = codec->width();
+  const unsigned redundant = codec->redundant_lines();
+  BlockTransitionAccumulator reused(width, redundant);
+  reused.Consume(before);
+  ASSERT_GT(reused.total(), 0);
+  reused.Reset();
+  const BlockTransitionAccumulator power_on(width, redundant);
+  EXPECT_EQ(reused.total(), 0);
+  EXPECT_EQ(reused.peak(), 0);
+  EXPECT_EQ(reused.cycles(), 0u);
+  EXPECT_EQ(reused.per_line(), power_on.per_line());
+  reused.Consume(after);
+
+  BlockTransitionAccumulator fresh(width, redundant);
+  fresh.Consume(after);
+  EXPECT_EQ(reused.total(), fresh.total());
+  EXPECT_EQ(reused.peak(), fresh.peak());
+  EXPECT_EQ(reused.cycles(), fresh.cycles());
+  EXPECT_EQ(reused.per_line(), fresh.per_line());
+
+  TransitionCounter counter(width, redundant);
+  for (const BusState& state : before) counter.Observe(state);
+  counter.Reset();
+  for (const BusState& state : after) counter.Observe(state);
+  EXPECT_EQ(reused.total(), counter.total());
+  EXPECT_EQ(reused.peak(), counter.peak());
+  EXPECT_EQ(reused.cycles(), counter.cycles());
+  EXPECT_EQ(reused.per_line(), counter.per_line());
 }
 
 TEST(SavingsPercentTest, ZeroReferenceWithCodedTransitionsIsNaN) {
