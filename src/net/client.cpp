@@ -4,7 +4,7 @@
 
 #include <algorithm>
 #include <deque>
-#include <thread>
+#include <string>
 #include <utility>
 
 namespace abenc::net {
@@ -137,7 +137,17 @@ StreamSubmitResult Client::SubmitColumns(std::uint64_t session_id,
     // such rejection is acked; drain those acks so the connection stays
     // in sync, then rewind to the server's authoritative count.
     ++result.rejections;
-    if (!inflight.empty()) inflight.pop_front();
+    // A server that holds full-queue frames (see docs/PROTOCOL.md)
+    // rejects a frame at its own count only when the batch is larger
+    // than the whole queue: resending it could never succeed.
+    std::size_t oversize = 0;
+    if (!inflight.empty()) {
+      if (ack.status == Status::kRejected &&
+          inflight.front().offset == ack.accepted) {
+        oversize = inflight.front().count;
+      }
+      inflight.pop_front();
+    }
     const std::size_t trailing = inflight.size();
     inflight.clear();
     for (std::size_t i = 0; i < trailing; ++i) {
@@ -160,12 +170,12 @@ StreamSubmitResult Client::SubmitColumns(std::uint64_t session_id,
       result.closed = true;
       return false;
     }
-    // Rejection: give the queue a moment to drain before the rewound
-    // frames go out again. A server that holds full-queue frames (see
-    // docs/PROTOCOL.md) rejects only stale offsets and batches larger
-    // than the queue, so a stream through one never waits here.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    return true;
+    if (oversize != 0) {
+      throw WireError(Status::kRejected,
+                      "SUBMIT_STREAM batch of " + std::to_string(oversize) +
+                          " accesses exceeds the session's queue capacity");
+    }
+    return true;  // a stale offset: resend from the rewound count at once
   };
 
   bool streaming = true;

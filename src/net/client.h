@@ -14,12 +14,12 @@
 //
 // Backpressure is data, not an exception: Submit() returns the ack
 // whose status maps the session's Admission (kSlowDown / kRejected),
-// so client pacing loops read it exactly like the in-process soak reads
+// so client pacing loops read it exactly like an in-process caller reads
 // Admission.
 //
 // The raw escape hatches (SendRaw / ReadFrame / ShutdownSend / Abort)
-// exist for the net_soak fuzz and disconnect injection — they speak
-// bytes, not protocol, on purpose.
+// exist for the soak engine's fuzz and disconnect injection — they
+// speak bytes, not protocol, on purpose.
 #pragma once
 
 #include <chrono>
@@ -109,8 +109,10 @@ class Client {
   /// indices [options.start, count)) through windowed SUBMIT_STREAM
   /// frames, keeping up to `window` frames in flight. Rejections rewind
   /// to the server's authoritative count via the offset guard, so the
-  /// admitted stream never gaps or duplicates. The columns are read
-  /// in place — an mmap-backed `.ctrace` streams without row copies.
+  /// admitted stream never gaps or duplicates. A chunk larger than the
+  /// session's whole queue can never be admitted and throws
+  /// WireError(kRejected). The columns are read in place — an
+  /// mmap-backed `.ctrace` streams without row copies.
   StreamSubmitResult SubmitColumns(std::uint64_t session_id,
                                    const Word* addresses,
                                    const std::uint8_t* sel,

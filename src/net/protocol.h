@@ -30,7 +30,7 @@
 // discarded whole, never half-applied. Malformed, truncated, oversized
 // or unknown frames produce an ERROR frame with a status code (and, for
 // framing-level violations, a close), never a crash or a wedged shard —
-// the contract tests/net_test.cpp and the net_soak fuzz loop pin.
+// the contract tests/net_test.cpp and the wire soak's fuzz swarm pin.
 #pragma once
 
 #include <cstdint>
@@ -244,8 +244,8 @@ struct HelloReply {
 /// Codec + palette negotiation plus the session's robustness knobs —
 /// the wire image of service::SessionConfig. `fault_seed` is a test
 /// hook: a server configured with a fault planner maps it to a
-/// deterministic channel fault installer (net_soak); production servers
-/// reject a nonzero seed with kBadConfig.
+/// deterministic channel fault installer (the wire soak); production
+/// servers reject a nonzero seed with kBadConfig.
 struct OpenRequest {
   std::string codec = "t0";
   std::uint16_t width = 32;

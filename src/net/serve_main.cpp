@@ -22,7 +22,7 @@
 #include <thread>
 
 #include "net/server.h"
-#include "service/soak.h"
+#include "net/soak.h"
 
 namespace {
 
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   }
   if (fault_planner) {
     config.fault_planner = [fault_length](std::uint64_t seed) {
-      return abenc::service::PlanSoakFault(seed, fault_length);
+      return abenc::net::PlanSoakFault(seed, fault_length);
     };
   }
 

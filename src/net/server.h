@@ -30,8 +30,8 @@
 // Failure containment: any malformed, truncated, oversized or
 // mid-frame-disconnected input produces a clean protocol ERROR (and for
 // framing-level violations a close) — never an exception out of the
-// loop, a crash, or a wedged shard. tests/net_test.cpp and the net_soak
-// fuzz loop pin this.
+// loop, a crash, or a wedged shard. tests/net_test.cpp and the wire
+// soak's fuzz swarm pin this.
 #pragma once
 
 #include <atomic>

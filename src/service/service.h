@@ -38,7 +38,7 @@
 //  - Results are ground truth: every session's accounting is
 //    bit-identical to a serial Evaluate()/EvaluateWithResets() of its
 //    stream regardless of channel faults, shard scheduling, failover or
-//    eviction — the property the service_soak harness pins at scale.
+//    eviction — the property the soak engine (net/soak.h) pins at scale.
 #pragma once
 
 #include <chrono>

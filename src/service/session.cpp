@@ -484,8 +484,13 @@ void Session::ApplySwitchLocked(const std::string& codec_name) {
     BuildFsms();
   } else {
     // Evicted: the FSMs are torn down and the eviction already logged
-    // this index as a reset point — Readmit builds the new codec.
+    // this index as a reset point — Readmit builds the new codec. The
+    // lifetime histogram widens to its lines now, as BuildFsms() would:
+    // a switch pinned to the stream end is never followed by a Readmit.
     active_codec_name_ = codec_name;
+    const auto next = MakeCodec(codec_name, config_.codec_options);
+    const std::size_t lines = next->width() + next->redundant_lines();
+    if (folded_.per_line.size() < lines) folded_.per_line.resize(lines, 0);
   }
   renegotiations_.push_back(
       CodecSwitchPoint{static_cast<std::size_t>(index), codec_name});

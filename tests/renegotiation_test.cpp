@@ -177,6 +177,34 @@ TEST(RenegotiationSessionTest, EndOfStreamPinnedSwitchStillApplies) {
                            report.renegotiations, report.reset_points));
 }
 
+TEST(RenegotiationSessionTest, SwitchOnEvictedSessionWidensTheHistogram) {
+  // Regression pin: a switch to a codec with more lines, applied to an
+  // evicted session at the end of its stream, is never followed by a
+  // re-admission that would rebuild the counters. The report must still
+  // carry the new codec's (zero-count) lines, as the serial replay of
+  // the schedule does.
+  const std::vector<BusAccess> stream = TestStream(150, 29);
+  EncodingService service(ManualMode());
+  SessionConfig config;
+  config.codec_name = "gray";  // 32 lines
+  const std::uint64_t id = service.OpenSession(config);
+
+  ASSERT_EQ(service.Submit(id, stream), Admission::kAccepted);
+  ASSERT_TRUE(service.Drain(std::chrono::milliseconds(5000)));
+  ASSERT_TRUE(service.EvictSession(id));
+  const RenegotiateOutcome outcome = service.Renegotiate(id, "bus-invert");
+  EXPECT_EQ(outcome.status, RenegotiateStatus::kApplied);
+  EXPECT_EQ(outcome.switch_index, stream.size());
+
+  const SessionReport report = service.Report(id);
+  ASSERT_EQ(report.renegotiations.size(), 1u);
+  ExpectSameEvalResult(
+      report.result,
+      EvaluateWithSchedule("gray", config.codec_options, stream,
+                           report.renegotiations, report.reset_points));
+  EXPECT_EQ(report.result.per_line.size(), 33u);  // bus-invert's INV line
+}
+
 TEST(RenegotiationSessionTest, RefusalsAreTotalAcrossTheLadder) {
   // kRefusedBadCodec / kRefusedPending / kRefusedUnchanged /
   // kRefusedClosed: each refusal leaves the session bit-for-bit

@@ -2,7 +2,7 @@
 // accounting per session, bounded queues with backpressure, the
 // retry/resync/degrade recovery ladder, deterministic eviction +
 // re-admission (the EvaluateWithResets contract), watchdog failover of a
-// wedged shard, and the soak harness end to end.
+// wedged shard. The soak engine's own cases live in soak_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "core/codec_factory.h"
 #include "core/stream_evaluator.h"
 #include "service/service.h"
-#include "service/soak.h"
 #include "verify/stream_gen.h"
 
 namespace abenc::service {
@@ -991,42 +990,6 @@ TEST(RetirementTest, DriverModeRetiresClosedDrainedSessions) {
   ASSERT_EQ(LiveSessions(service), 0u);
   ExpectRetiredSessionsIntact(service, run);
   EXPECT_EQ(service.Stop(), ShutdownResult::kDrained);
-}
-
-TEST(SoakTest, SmokeRunIsBitIdenticalUnderFaults) {
-  SoakOptions options;
-  options.sessions = 48;
-  options.length = 150;
-  options.shards = 2;
-  options.parallelism = 2;
-  options.clients = 2;
-  options.seed = 5;
-  options.queue_capacity = 96;
-  options.slowdown_watermark = 64;
-  options.chunk = 32;
-  const SoakOutcome outcome = RunSoak(options);
-  EXPECT_TRUE(outcome.ok()) << (outcome.failures.empty()
-                                    ? "timed out"
-                                    : outcome.failures.front());
-  EXPECT_EQ(outcome.sessions, 48u);
-  EXPECT_EQ(outcome.accesses, 48u * 150u);
-}
-
-TEST(SoakTest, EvictionChurnStaysBitIdentical) {
-  SoakOptions options;
-  options.sessions = 32;
-  options.length = 200;
-  options.shards = 2;
-  options.parallelism = 2;
-  options.clients = 2;
-  options.seed = 8;
-  options.idle_evict_steps = 2;
-  options.access_budget = 70;
-  const SoakOutcome outcome = RunSoak(options);
-  EXPECT_TRUE(outcome.ok()) << (outcome.failures.empty()
-                                    ? "timed out"
-                                    : outcome.failures.front());
-  EXPECT_GT(outcome.evicted_sessions, 0u);
 }
 
 }  // namespace
